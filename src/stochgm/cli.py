@@ -164,8 +164,12 @@ def cmd_fit_fc(args):
     catalog = load_catalog(args.manifest)
     _require_nonempty(catalog, args.manifest)
     lo, hi, step = args.fc_grid
-    config = fc_opt.FcSearchConfig(grid_lo=lo, grid_hi=hi, step=step,
-                                   n_mc=args.mc, seed=args.seed)
+    try:
+        config = fc_opt.FcSearchConfig(grid_lo=lo, grid_hi=hi, step=step,
+                                       n_mc=args.mc, seed=args.seed,
+                                       bracket=True)
+    except ValueError as exc:
+        raise DataError(f"--fc-grid/--mc: {exc}") from exc
 
     def one(rec):
         params = entry_params(catalog.entry(rec.id), rec).with_fc(None)
@@ -186,7 +190,11 @@ def cmd_fit_fc(args):
                    [(f"{f:.4g}", f"{e:.8g}")
                     for f, e in zip(res.fc_grid, res.epsilon_curve)])
     _write_csv(os.path.join(args.out, "fc_table.csv"), ["id", "fc_star_hz"], table)
-    return {"fc_star": {rid: results[rid].fc_star for rid, _ in table}}
+    return {"fc_star": {rid: results[rid].fc_star for rid, _ in table},
+            "search": {rid: {"evals": results[rid].evals,
+                             "fallback": results[rid].fallback,
+                             "fc_on_edge": results[rid].fc_on_edge}
+                       for rid, _ in table}}
 
 
 def _stats_outputs(tag, sm, out_dir):
@@ -414,6 +422,8 @@ def main(argv=None):
     }
     code = 0
     try:
+        if getattr(args, "n", 1) < 1:
+            raise DataError(f"--n must be at least 1, got {args.n}")
         run_log["result"] = args.func(args)
         run_log["status"] = "ok"
     except (DataError, OSError) as exc:

@@ -1,4 +1,4 @@
-"""Grid search for the high-pass corner frequency.
+"""Search for the high-pass corner frequency.
 
 The objective is the absolute value of the summed standardized bias between
 the recorded log spectrum and the Monte Carlo mean of the simulated log
@@ -10,6 +10,19 @@ Common random numbers: the n_mc pre-filter realizations are simulated once
 and only the (cheap) high-pass stage and the 30 spectral ordinates are
 recomputed per candidate fc, making the objective curve smooth and
 run-to-run deterministic.
+
+Under common random numbers the signed bias S(fc) rises with fc (a higher
+corner removes more long-period energy), so argmin |S| sits at S's sign
+change. With ``FcSearchConfig(bracket=True)`` the search evaluates the two
+grid ends and, when S(lo) < 0 <= S(hi), bisects on grid indices down to an
+adjacent pair: about log2(grid size) + 2 evaluations instead of one per
+grid point. When the ends bracket no sign change, or an evaluated S is not
+nondecreasing in fc, the rest of the grid is evaluated, so the result is
+the exhaustive one. Monotonicity is checked only at the evaluated points,
+so the bisected fc* equals the exhaustive one when S is nondecreasing on
+the whole grid; a non-monotone stretch between evaluated points can go
+unseen. The exhaustive scan (``bracket=False``, the default) is the
+reference the bracketed search is tested against.
 """
 
 import logging
@@ -34,10 +47,12 @@ class FcSearchConfig:
     n_match_points: int = 30
     match_band: tuple = (1.0, 10.0)
     seed: int = 0
+    bracket: bool = False
 
     def __post_init__(self):
-        if self.grid_lo > self.grid_hi or self.step <= 0:
-            raise ValueError("need grid_lo <= grid_hi and step > 0")
+        if not (0 <= self.grid_lo <= self.grid_hi < math.inf
+                and 0 < self.step < math.inf):
+            raise ValueError("need 0 <= grid_lo <= grid_hi and step > 0, all finite")
         if self.n_mc < 2:
             raise ValueError("n_mc must be >= 2")
         if not 0 < self.match_band[0] < self.match_band[1]:
@@ -56,15 +71,28 @@ class FcSearchConfig:
 
 @dataclass(frozen=True)
 class FcResult:
+    """fc_grid/epsilon_curve hold the evaluated candidates in ascending fc;
+    fallback is True when the whole grid was evaluated."""
     fc_star: float
     fc_grid: np.ndarray
     epsilon_curve: np.ndarray
     match_periods: np.ndarray = field(default=None)
+    fallback: bool = True
+
+    @property
+    def evals(self):
+        return int(self.fc_grid.size)
+
+    @property
+    def fc_on_edge(self):
+        # both grid ends are evaluated on every path
+        return self.fc_star in (self.fc_grid[0], self.fc_grid[-1])
 
 
-def epsilon(real_log_sa, sim_log_sa):
+def epsilon(real_log_sa, sim_log_sa, signed=False):
     """Summed standardized bias over the match points (equal weights: the
-    d log T measure is uniform on log-spaced points)."""
+    d log T measure is uniform on log-spaced points); its absolute value
+    unless signed."""
     real_log_sa = np.asarray(real_log_sa, dtype=float)
     sim_log_sa = np.asarray(sim_log_sa, dtype=float)
     mean = sim_log_sa.mean(axis=0)
@@ -72,13 +100,35 @@ def epsilon(real_log_sa, sim_log_sa):
     bad = std < 1e-12 * np.abs(mean)
     if np.any(bad):
         raise ZeroSpread(f"zero spread at match points {np.nonzero(bad)[0].tolist()}")
-    return float(abs(np.sum((real_log_sa - mean) / std)))
+    bias = float(np.sum((real_log_sa - mean) / std))
+    return bias if signed else abs(bias)
+
+
+def _bisect(bias, n):
+    """Narrow S(lo) < 0 <= S(hi) from the grid ends to adjacent indices.
+    Returns False when the ends bracket no sign change or an evaluated S
+    breaks monotonicity in fc."""
+    lo, hi = 0, n - 1
+    if not bias(lo) < 0 <= bias(hi):
+        return False
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        s = bias(mid)
+        # every other evaluated point lies outside (lo, hi)
+        if not bias(lo) <= s <= bias(hi):
+            return False
+        if s < 0:
+            lo = mid
+        else:
+            hi = mid
+    return True
 
 
 def optimize_fc(record, params_no_fc, config=FcSearchConfig(), engine="spectral",
                 damping=0.05):
-    """Evaluate epsilon(fc) on the grid with common random numbers and
-    return the argmin (ties break to the smallest fc)."""
+    """Minimize epsilon(fc) over the grid with common random numbers and
+    return the argmin over the evaluated candidates (ties break to the
+    smallest fc). See the module docstring for config.bracket."""
     record = record.to_si()
     periods = config.match_periods
     real_spec = compute_sa(record.accel, record.dt, periods, damping)
@@ -88,13 +138,23 @@ def optimize_fc(record, params_no_fc, config=FcSearchConfig(), engine="spectral"
     x3 = batch.realizations
 
     grid = config.grid
-    curve = np.empty(grid.size)
-    for i, fc in enumerate(grid):
-        filtered = highpass(x3, fc, record.dt)
-        sim_log_sa = np.log(batch_sa_matrix(filtered, record.dt, periods, damping))
-        curve[i] = epsilon(real_log_sa, sim_log_sa)
-        log.debug("fc=%.3f Hz -> epsilon=%.4f", fc, curve[i])
+    signed = {}  # grid index -> S(fc); no candidate is evaluated twice
 
-    fc_star = float(grid[int(np.argmin(curve))])  # argmin takes the first tie
-    return FcResult(fc_star=fc_star, fc_grid=grid, epsilon_curve=curve,
-                    match_periods=periods)
+    def bias(i):
+        if i not in signed:
+            filtered = highpass(x3, grid[i], record.dt)
+            sim_log_sa = np.log(batch_sa_matrix(filtered, record.dt, periods, damping))
+            signed[i] = epsilon(real_log_sa, sim_log_sa, signed=True)
+            log.debug("fc=%.3f Hz -> S=%.4f", grid[i], signed[i])
+        return signed[i]
+
+    fallback = not (config.bracket and _bisect(bias, grid.size))
+    if fallback:
+        for i in range(grid.size):
+            bias(i)
+
+    idx = sorted(signed)
+    curve = np.abs([signed[i] for i in idx])
+    fc_star = float(grid[idx[int(np.argmin(curve))]])  # argmin takes the first tie
+    return FcResult(fc_star=fc_star, fc_grid=grid[idx], epsilon_curve=curve,
+                    match_periods=periods, fallback=fallback)

@@ -131,11 +131,69 @@ def test_fit_fc_recovers(catalog_dir, tmp_path):
     close = sum(abs(fc_hat[k] - true[k]) <= 0.15 for k in true)
     assert close >= 9  # coarse grid + 20 MC; most records must recover
 
+    # bracketed search: per-record diagnostics, epsilon CSVs list only
+    # the evaluated corners
+    search = json.loads((out / "run_log.json").read_text())["result"]["search"]
+    assert set(search) == set(fc_hat)
+    for rid, diag in search.items():
+        assert set(diag) == {"evals", "fallback", "fc_on_edge"}
+        # 10 grid points: all when the search fell back, else ends + bisection
+        assert (diag["evals"] == 10) if diag["fallback"] else (diag["evals"] <= 6)
+        assert diag["fc_on_edge"] == (fc_hat[rid] in (0.05, 0.95))
+        _, eps = read_csv(out / f"{rid}_epsilon.csv")
+        assert len(eps) == diag["evals"]
+
 
 def test_fit_fc_empty_catalog(tmp_path):
     (tmp_path / "empty.txt").write_text("# nothing\n")
     assert main(["fit-fc", "--manifest", str(tmp_path / "empty.txt"),
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--fc-grid", "0:0.5:0"],
+    ["--fc-grid", "0.5:0:0.1"],
+    ["--fc-grid=-0.1:0.5:0.1"],
+    ["--mc", "1"],
+])
+def test_fit_fc_bad_search_is_data_error(catalog_dir, tmp_path, flags):
+    out = tmp_path / "o"
+    assert main(["fit-fc", "--manifest", str(catalog_dir / "manifest.txt"),
+                 "--out", str(out)] + flags) == 2
+    run_log = json.loads((out / "run_log.json").read_text())
+    assert run_log["status"] == "data_error"
+    assert not (out / "fc_table.csv").exists()
+
+
+def test_fit_fc_short_record_default_grid(tmp_path):
+    # an 8 s record on the default 0:2:0.01 grid, whose 0.01 Hz point is
+    # below 1/(10 T), must still fit
+    padded, p = synth_record("short", np.log(0.5), 4.0, 2.0, 15.0, -0.1,
+                             0.3, 0.4, seed=42, t_total=8.0)
+    rec = AccelerogramRecord(id="short", dt=padded.dt,
+                             accel=padded.accel[:400], unit="m/s2")
+    (tmp_path / "short.AT2").write_text(write_at2(rec))
+    (tmp_path / "manifest.txt").write_text("\n".join([
+        "id = short", "path = short.AT2", f"log_ai = {p.log_ai}",
+        f"d595 = {p.d595}", f"t_mid = {p.t_mid}", f"omega_mid = {p.omega_mid}",
+        f"omega_rate = {p.omega_rate}", f"zeta_f = {p.zeta_f}",
+        f"t_total = {p.t_total}"]) + "\n")
+    out = tmp_path / "o"
+    assert main(["fit-fc", "--manifest", str(tmp_path / "manifest.txt"),
+                 "--out", str(out), "--mc", "10"]) == 0
+    _, rows = read_csv(out / "fc_table.csv")
+    assert [r[0] for r in rows] == ["short"]
+    assert json.loads((out / "run_log.json").read_text())["status"] == "ok"
+
+
+@pytest.mark.parametrize("command", ["simulate", "sample-params"])
+def test_n_below_one_is_data_error(catalog_dir, tmp_path, command):
+    out = tmp_path / "o"
+    assert main([command, "--manifest", str(catalog_dir / "manifest.txt"),
+                 "--out", str(out), "--n", "0"]) == 2
+    run_log = json.loads((out / "run_log.json").read_text())
+    assert run_log["status"] == "data_error"
+    assert "--n" in run_log["error"]
 
 
 def test_stats_single_and_compare(catalog_dir, tmp_path):

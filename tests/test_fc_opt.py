@@ -35,6 +35,13 @@ class TestEpsilon:
         std = self.sim.std(axis=0, ddof=1)
         assert epsilon(mean + std, self.sim) == pytest.approx(30.0, rel=1e-10)
 
+    def test_signed(self):
+        mean = self.sim.mean(axis=0)
+        std = self.sim.std(axis=0, ddof=1)
+        assert epsilon(mean - std, self.sim, signed=True) == \
+            pytest.approx(-30.0, rel=1e-10)
+        assert epsilon(mean - std, self.sim) == pytest.approx(30.0, rel=1e-10)
+
     def test_zero_spread(self):
         sim = np.ones((50, 30))
         with pytest.raises(ZeroSpread):
@@ -96,3 +103,56 @@ class TestConfig:
             FcSearchConfig(step=-0.1)
         with pytest.raises(ValueError):
             FcSearchConfig(n_mc=1)
+        with pytest.raises(ValueError):
+            FcSearchConfig(grid_lo=-0.1)
+        with pytest.raises(ValueError):
+            FcSearchConfig(grid_lo=0.5, grid_hi=0.0)
+
+
+def both_searches(rec, params, **grid):
+    """Exhaustive and bracketed results on the same grid and MC draws."""
+    return tuple(optimize_fc(rec, params, FcSearchConfig(**grid, bracket=b),
+                             "spectral") for b in (False, True))
+
+
+def assert_subset_of(bracketed, exhaustive):
+    """Every evaluated candidate is a grid point with the exhaustive value."""
+    pos = np.searchsorted(exhaustive.fc_grid, bracketed.fc_grid)
+    np.testing.assert_array_equal(exhaustive.fc_grid[pos], bracketed.fc_grid)
+    np.testing.assert_array_equal(exhaustive.epsilon_curve[pos],
+                                  bracketed.epsilon_curve)
+
+
+class TestBracketed:
+    def test_grid_below_sign_change_falls_back(self, base_params, sim_dt):
+        rec = synthetic_record(base_params, sim_dt, 0.5)
+        ex, br = both_searches(rec, base_params.with_fc(None), grid_lo=0.0,
+                               grid_hi=0.2, step=0.05, n_mc=30, seed=3)
+        assert br.fallback and br.evals == 5
+        np.testing.assert_array_equal(br.fc_grid, ex.fc_grid)
+        np.testing.assert_array_equal(br.epsilon_curve, ex.epsilon_curve)
+        assert br.fc_star == ex.fc_star == 0.2 and br.fc_on_edge
+
+    def test_one_point_grid(self, base_params, sim_dt):
+        rec = synthetic_record(base_params, sim_dt, 0.5)
+        ex, br = both_searches(rec, base_params.with_fc(None), grid_lo=0.3,
+                               grid_hi=0.3, step=0.1, n_mc=20, seed=3)
+        assert br.evals == 1 and br.fc_star == ex.fc_star == 0.3
+        assert br.fc_on_edge
+        assert_subset_of(br, ex)
+
+    def test_two_point_grid(self, base_params, sim_dt):
+        rec = synthetic_record(base_params, sim_dt, 0.5)
+        ex, br = both_searches(rec, base_params.with_fc(None), grid_lo=0.3,
+                               grid_hi=0.7, step=0.4, n_mc=20, seed=3)
+        assert not br.fallback and br.evals == 2
+        assert br.fc_star == ex.fc_star
+        assert_subset_of(br, ex)
+
+    def test_bisects_default_grid(self, base_params, sim_dt):
+        rec = synthetic_record(base_params, sim_dt, 0.5)
+        res = optimize_fc(rec, base_params.with_fc(None),
+                          FcSearchConfig(n_mc=20, seed=3, bracket=True))
+        assert not res.fallback and res.evals <= 10
+        assert np.all(np.diff(res.fc_grid) > 0)
+        assert res.fc_star == pytest.approx(0.5, abs=0.1 + 1e-9)
