@@ -23,7 +23,7 @@ from .errors import (CountMismatch, DataError, MalformedHeader, ManifestError,
 
 log = logging.getLogger(__name__)
 
-G_TO_MS2 = 9.80665
+G_ACCEL = 9.80665  # standard gravity, m/s^2 per g
 
 # "NPTS=   2000, DT=   .0100  SEC" style
 _RE_NPTS_EQ = re.compile(r"NPTS\s*=\s*(\d+)\s*,?\s*DT\s*=\s*([0-9.Ee+-]+)", re.IGNORECASE)
@@ -70,7 +70,7 @@ class AccelerogramRecord:
         """Return a copy with acceleration in m/s^2."""
         if self.unit == "m/s2":
             return self
-        return replace(self, accel=self.accel * G_TO_MS2, unit="m/s2")
+        return replace(self, accel=self.accel * G_ACCEL, unit="m/s2")
 
 
 @dataclass(frozen=True)
@@ -128,9 +128,7 @@ def parse_at2(raw_text):
             values.append(float(tok))
     if len(values) != npts:
         raise CountMismatch(f"header declares NPTS={npts} but body has {len(values)} values")
-    accel = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(accel)):
-        raise NonFiniteSample("AT2 body contains non-finite values")
+    accel = np.asarray(values, dtype=float)  # AccelerogramRecord rejects NaN/inf
 
     title = lines[0].strip()
     rec_id = title if title else "record"
@@ -142,14 +140,15 @@ def write_at2(record, title=None):
     """Serialize a record (in g) to AT2 text, 7 significant digits, 5/line."""
     rec = record
     if rec.unit != "g":
-        rec = replace(rec, accel=rec.accel / G_TO_MS2, unit="g")
+        rec = replace(rec, accel=rec.accel / G_ACCEL, unit="g")
     out = [
         title if title is not None else rec.id,
         "stochgm export",
         "ACCELERATION TIME SERIES IN UNITS OF G",
         f"NPTS= {rec.npts:6d}, DT= {rec.dt:10.5f}  SEC",
     ]
-    vals = [f"{v:15.7e}" for v in rec.accel]
+    # as "{v:15.7e}", but a negative 3-digit exponent cannot fuse values
+    vals = [f" {v:14.7e}" for v in rec.accel]
     for i in range(0, len(vals), 5):
         out.append("".join(vals[i:i + 5]))
     return "\n".join(out) + "\n"
@@ -170,6 +169,8 @@ def parse_manifest(text):
             if k in block:
                 try:
                     params[k] = float(block[k])
+                    if not np.isfinite(params[k]):
+                        raise ValueError("not finite")
                 except ValueError as exc:
                     raise ManifestError(
                         f"entry {block['id']}: bad value for {k}: {block[k]!r}") from exc
@@ -213,8 +214,9 @@ def load_catalog(manifest_path):
         try:
             with open(path) as fh:
                 rec = parse_at2(fh.read())
-        except DataError as exc:
-            raise type(exc)(f"entry {entry.id}: {exc}") from exc
+        except (DataError, ValueError) as exc:  # ValueError: bad number, DT or NPTS
+            kind = type(exc) if isinstance(exc, DataError) else DataError
+            raise kind(f"entry {entry.id}: {exc}") from exc
         rec = replace(rec, id=entry.id)
         records.append(rec.to_si())
     return Catalog(records=tuple(records), entries=tuple(entries))

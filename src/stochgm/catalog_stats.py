@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRecord, TooFewRecords, ZeroVarianceColumn
-
-G_ACCEL = 9.80665
+from .gm_model import energy_targets
 
 
 @dataclass(frozen=True)
@@ -68,19 +67,11 @@ def spectral_correlation(sm):
 
 
 def extract_simple_params(record):
-    """Arias intensity, effective duration and mid-energy arrival time.
-
-    AI = (pi/2g) int a^2 dt by trapezoid; t5/t45/t95 are the first times the
-    normalized cumulative crosses 0.05/0.45/0.95 (linear interpolation
-    between cumulative samples).
-    """
+    """Log Arias intensity, effective duration and mid-energy arrival time,
+    as defined by gm_model.energy_targets."""
     rec = record.to_si()
-    a2 = rec.accel ** 2
-    cum = np.concatenate([[0.0], np.cumsum((a2[1:] + a2[:-1]) / 2 * rec.dt)])
-    total = cum[-1]
-    if total <= 0:
-        raise DegenerateRecord(f"record {rec.id} has zero Arias intensity")
-    ai = math.pi / (2 * G_ACCEL) * total
-    t = np.arange(cum.size) * rec.dt
-    t5, t45, t95 = np.interp([0.05, 0.45, 0.95], cum / total, t)
-    return {"log_ai": math.log(ai), "d595": t95 - t5, "t_mid": t45}
+    try:
+        tg = energy_targets(rec.accel, rec.dt)
+    except DegenerateRecord as exc:
+        raise DegenerateRecord(f"record {rec.id} has {exc}") from exc
+    return {"log_ai": math.log(tg["ai"]), "d595": tg["d595"], "t_mid": tg["t_mid"]}

@@ -12,6 +12,7 @@ import concurrent.futures
 import csv
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -22,7 +23,7 @@ from . import catalog_stats, fc_opt, param_dist, sensitivity, svgplot
 from .catalog_io import load_catalog, write_at2
 from .errors import DataError, NumericalError
 from .gm_model import G_ACCEL, GMParams, apply_highpass, simulate
-from .resp_spectrum import batch_sa_matrix, compute_sa, standard_period_grid
+from .resp_spectrum import compute_sa, standard_period_grid
 
 log = logging.getLogger("stochgm")
 
@@ -32,39 +33,36 @@ CORR_PANEL_T2 = (0.1, 0.5, 1.0, 4.0)
 
 
 # ---------------------------------------------------------------------------
-# helpers
+# input boundary and helpers: manifests and numeric flags become validated
+# inputs here; a bad one is a DataError (exit 2) naming the entry or flag
 # ---------------------------------------------------------------------------
 
-def _parse_triplet(text, kind=float):
+def _parse_triplet(text):
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected lo:hi:value, got {text!r}")
-    return tuple(kind(p) for p in parts[:2]) + (float(parts[2]),)
+    return tuple(float(p) for p in parts)
 
 
-def _period_grid(args):
-    if args.periods is None:
-        return standard_period_grid()
-    lo, hi, count = args.periods
-    return standard_period_grid(n=int(count), lo=lo, hi=hi)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _write_matrix_csv(path, periods, matrix):
-    """Dense matrix with a period header row and column."""
-    header = ["T1_s\\T2_s"] + [f"{t:.6g}" for t in periods]
-    rows = [[f"{t1:.6g}"] + [f"{v:.10g}" for v in row]
-            for t1, row in zip(periods, matrix)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _check_args(args):
+    """Check the numeric flags, then turn --periods into the period grid
+    and --fc-grid/--mc/--seed into args.fc_search."""
+    for flag, least in (("n", 1), ("jobs", 1), ("seed", 0)):
+        value = getattr(args, flag, least)
+        if value < least:
+            raise DataError(f"--{flag} must be at least {least}, got {value}")
+    if hasattr(args, "periods"):
+        lo, hi, count = args.periods
+        if not (0 < lo < hi < math.inf and count >= 2 and count.is_integer()):
+            raise DataError("--periods LO:HI:COUNT needs 0 < LO < HI < inf and "
+                            f"a whole COUNT >= 2, got {lo:g}:{hi:g}:{count:g}")
+        args.periods = standard_period_grid(n=int(count), lo=lo, hi=hi)
+    if hasattr(args, "fc_grid"):
+        try:
+            args.fc_search = fc_opt.FcSearchConfig(
+                *args.fc_grid, n_mc=args.mc, seed=args.seed, bracket=True)
+        except ValueError as exc:
+            raise DataError(f"--fc-grid/--mc: {exc}") from exc
 
 
 def entry_params(entry, record, fc_default=None):
@@ -86,23 +84,72 @@ def entry_params(entry, record, fc_default=None):
                     zeta_f=p["zeta_f"], t_total=p["t_total"], fc_hz=fc)
 
 
-def _catalog_log_sa(catalog, periods, jobs):
+def _load(manifest, params=False, fc_default=None):
+    """The non-empty catalog at `manifest` and, with params, each record's
+    GMParams by id (entries and records pair by position: load_catalog
+    builds both in manifest order)."""
+    catalog = load_catalog(manifest)
+    if len(catalog) == 0:
+        raise DataError(f"catalog from {manifest} is empty")
+    if not params:
+        return catalog
+    built = {}
+    for entry, rec in zip(catalog.entries, catalog.records):
+        try:
+            built[entry.id] = entry_params(entry, rec, fc_default)
+        except ValueError as exc:
+            raise DataError(f"entry {entry.id}: {exc}") from exc
+    return catalog, built
+
+
+def _theta(manifest, command):
+    """The catalog and its (n_records, 7) parameter matrix, columns ordered
+    as sensitivity.PARAM_LABELS; every entry must supply fc_hz."""
+    catalog, params = _load(manifest, params=True)
+    for rec_id, p in params.items():
+        if p.fc_hz is None:
+            raise DataError(f"entry {rec_id}: {command} needs fc_hz in manifest")
+    return catalog, np.array([[p.log_ai, p.d595, p.t_mid, p.omega_mid,
+                               p.omega_rate, p.zeta_f, p.fc_hz]
+                              for p in params.values()])
+
+
+def _per_record(fn, records, jobs=1):
+    """[fn(rec) for rec in records], on `jobs` threads when jobs > 1. A
+    DataError from one record is re-raised naming its entry."""
     def one(rec):
-        return np.log(compute_sa(rec.accel, rec.dt, periods).sa)
+        try:
+            return fn(rec)
+        except DataError as exc:
+            raise DataError(f"entry {rec.id}: {exc}") from exc
 
     if jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, catalog.records))
-    else:
-        rows = [one(r) for r in catalog.records]
+            return list(pool.map(one, records))
+    return [one(rec) for rec in records]
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_matrix_csv(path, periods, matrix):
+    """Dense matrix with a period header row and column."""
+    _write_csv(path, ["T1_s\\T2_s"] + [f"{t:.6g}" for t in periods],
+               [[f"{t1:.6g}"] + [f"{v:.10g}" for v in row]
+                for t1, row in zip(periods, matrix)])
+
+
+def _catalog_log_sa(catalog, periods, jobs):
+    rows = _per_record(
+        lambda rec: np.log(compute_sa(rec.accel, rec.dt, periods).sa),
+        catalog.records, jobs)
     return catalog_stats.SpectraMatrix(
         log_sa=np.vstack(rows), periods=periods,
         ids=tuple(r.id for r in catalog.records))
-
-
-def _require_nonempty(catalog, manifest):
-    if len(catalog) == 0:
-        raise DataError(f"catalog from {manifest} is empty")
 
 
 # ---------------------------------------------------------------------------
@@ -110,8 +157,7 @@ def _require_nonempty(catalog, manifest):
 # ---------------------------------------------------------------------------
 
 def cmd_convert(args):
-    catalog = load_catalog(args.manifest)
-    _require_nonempty(catalog, args.manifest)
+    catalog = _load(args.manifest)
     for rec in catalog:
         out = os.path.join(args.out, f"{rec.id}.AT2")
         with open(out, "w") as fh:
@@ -124,14 +170,13 @@ def cmd_convert(args):
 
 
 def cmd_simulate(args):
-    catalog = load_catalog(args.manifest)
-    _require_nonempty(catalog, args.manifest)
-    summary = []
-    for rec in catalog:
-        params = entry_params(catalog.entry(rec.id), rec, fc_default=0.0)
-        batch = simulate(params, rec.dt, args.n, args.seed, args.engine)
-        if params.fc_hz:
-            batch = apply_highpass(batch, params.fc_hz)
+    catalog, params = _load(args.manifest, params=True, fc_default=0.0)
+
+    def one(rec):
+        p = params[rec.id]
+        batch = simulate(p, rec.dt, args.n, args.seed, args.engine)
+        if p.fc_hz:
+            batch = apply_highpass(batch, p.fc_hz)
         batch.save_npz(os.path.join(args.out, f"{rec.id}_batch.npz"))
         a = batch.realizations
         ai = np.pi / (2 * G_ACCEL) * np.trapezoid(a ** 2, dx=batch.dt, axis=1)
@@ -139,17 +184,17 @@ def cmd_simulate(args):
         _write_csv(os.path.join(args.out, f"{rec.id}_summary.csv"),
                    ["realization", "arias_m_per_s", "pga_ms2"],
                    [(i, f"{ai[i]:.6g}", f"{pga[i]:.6g}") for i in range(len(ai))])
-        summary.append({"id": rec.id, "mean_ai": float(ai.mean()),
-                        "mean_pga": float(pga.mean())})
-    return {"batches": summary, "engine": args.engine, "n": args.n}
+        return {"id": rec.id, "mean_ai": float(ai.mean()),
+                "mean_pga": float(pga.mean())}
+
+    return {"batches": _per_record(one, catalog.records), "engine": args.engine,
+            "n": args.n}
 
 
 def cmd_spectrum(args):
-    catalog = load_catalog(args.manifest)
-    _require_nonempty(catalog, args.manifest)
-    periods = _period_grid(args)
+    catalog = _load(args.manifest)
     for rec in catalog:
-        spec = compute_sa(rec.accel, rec.dt, periods)
+        spec = compute_sa(rec.accel, rec.dt, args.periods)
         path = os.path.join(args.out, f"{rec.id}_spectrum.csv")
         with open(path, "w", newline="") as fh:
             fh.write(f"# damping = {spec.damping}\n")
@@ -157,44 +202,27 @@ def cmd_spectrum(args):
             w.writerow(["T_s", "Sa_g"])
             w.writerows((f"{t:.6g}", f"{s:.8g}")
                         for t, s in zip(spec.periods, spec.sa_g))
-    return {"records": len(catalog), "n_periods": int(periods.size)}
+    return {"records": len(catalog), "n_periods": int(args.periods.size)}
 
 
 def cmd_fit_fc(args):
-    catalog = load_catalog(args.manifest)
-    _require_nonempty(catalog, args.manifest)
-    lo, hi, step = args.fc_grid
-    try:
-        config = fc_opt.FcSearchConfig(grid_lo=lo, grid_hi=hi, step=step,
-                                       n_mc=args.mc, seed=args.seed,
-                                       bracket=True)
-    except ValueError as exc:
-        raise DataError(f"--fc-grid/--mc: {exc}") from exc
+    catalog, params = _load(args.manifest, params=True)
 
     def one(rec):
-        params = entry_params(catalog.entry(rec.id), rec).with_fc(None)
-        return rec.id, fc_opt.optimize_fc(rec, params, config, args.engine)
+        return fc_opt.optimize_fc(rec, params[rec.id].with_fc(None),
+                                  args.fc_search, args.engine)
 
-    if args.jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = dict(pool.map(one, catalog.records))
-    else:
-        results = dict(one(r) for r in catalog.records)
-
-    table = []
-    for rec in catalog:
-        res = results[rec.id]
-        table.append((rec.id, f"{res.fc_star:.4g}"))
-        _write_csv(os.path.join(args.out, f"{rec.id}_epsilon.csv"),
-                   ["fc_hz", "epsilon"],
+    results = dict(zip(params, _per_record(one, catalog.records, args.jobs)))
+    for rid, res in results.items():
+        _write_csv(os.path.join(args.out, f"{rid}_epsilon.csv"), ["fc_hz", "epsilon"],
                    [(f"{f:.4g}", f"{e:.8g}")
                     for f, e in zip(res.fc_grid, res.epsilon_curve)])
-    _write_csv(os.path.join(args.out, "fc_table.csv"), ["id", "fc_star_hz"], table)
-    return {"fc_star": {rid: results[rid].fc_star for rid, _ in table},
-            "search": {rid: {"evals": results[rid].evals,
-                             "fallback": results[rid].fallback,
-                             "fc_on_edge": results[rid].fc_on_edge}
-                       for rid, _ in table}}
+    _write_csv(os.path.join(args.out, "fc_table.csv"), ["id", "fc_star_hz"],
+               [(rid, f"{res.fc_star:.4g}") for rid, res in results.items()])
+    return {"fc_star": {rid: res.fc_star for rid, res in results.items()},
+            "search": {rid: {"evals": res.evals, "fallback": res.fallback,
+                             "fc_on_edge": res.fc_on_edge}
+                       for rid, res in results.items()}}
 
 
 def _stats_outputs(tag, sm, out_dir):
@@ -213,19 +241,12 @@ def _stats_outputs(tag, sm, out_dir):
 
 
 def cmd_stats(args):
-    catalog = load_catalog(args.manifest)
-    _require_nonempty(catalog, args.manifest)
-    periods = _period_grid(args)
-    sm = _catalog_log_sa(catalog, periods, args.jobs)
-    stats = {"recorded": _stats_outputs("recorded", sm, args.out)}
-    sms = {"recorded": sm}
-
-    if args.compare:
-        cat2 = load_catalog(args.compare)
-        _require_nonempty(cat2, args.compare)
-        sm2 = _catalog_log_sa(cat2, periods, args.jobs)
-        stats["synthetic"] = _stats_outputs("synthetic", sm2, args.out)
-        sms["synthetic"] = sm2
+    periods = args.periods
+    stats = {}
+    for tag, manifest in (("recorded", args.manifest), ("synthetic", args.compare)):
+        if manifest:
+            sm = _catalog_log_sa(_load(manifest), periods, args.jobs)
+            stats[tag] = _stats_outputs(tag, sm, args.out)
 
     # quantile/std chart, one panel per statistic
     charts = []
@@ -255,19 +276,13 @@ def cmd_stats(args):
 
 
 def cmd_sensitivity(args):
-    catalog = load_catalog(args.manifest)
-    _require_nonempty(catalog, args.manifest)
-    periods = _period_grid(args)
+    catalog, theta = _theta(args.manifest, "sensitivity")
+    try:
+        dm = sensitivity.DesignMatrix(theta)
+    except ValueError as exc:
+        raise DataError(f"--manifest {args.manifest}: {exc}") from exc
+    periods = args.periods
     sm = _catalog_log_sa(catalog, periods, args.jobs)
-
-    theta = []
-    for rec in catalog:
-        p = entry_params(catalog.entry(rec.id), rec)
-        if p.fc_hz is None:
-            raise DataError(f"entry {rec.id}: sensitivity needs fc_hz in manifest")
-        theta.append([p.log_ai, p.d595, p.t_mid, p.omega_mid, p.omega_rate,
-                      p.zeta_f, p.fc_hz])
-    dm = sensitivity.DesignMatrix(np.asarray(theta))
     bundle = sensitivity.fit_bundle(dm, sm.log_sa, periods)
 
     r2 = sensitivity.r2_curve(bundle)
@@ -280,14 +295,13 @@ def cmd_sensitivity(args):
                [[f"{t:.6g}"] + [f"{wc[i, j]:.8g}" for i in range(wc.shape[0])]
                 for j, t in enumerate(periods)])
 
-    base = sensitivity.baseline_surfaces(bundle)
-    _write_matrix_csv(os.path.join(args.out, "rho_full.csv"), periods, base["rho"])
-    var_rows = {"full": base["var"]}
-    for mode in ("const_fc", "no_cov"):
-        scen = sensitivity.scenario_neglect_fc(bundle, mode)
+    var_rows = {}
+    for mode in ("full", "const_fc", "no_cov"):
+        surf = (sensitivity.baseline_surfaces(bundle) if mode == "full"
+                else sensitivity.scenario_neglect_fc(bundle, mode))
         _write_matrix_csv(os.path.join(args.out, f"rho_{mode}.csv"),
-                          periods, scen["rho"])
-        var_rows[mode] = scen["var"]
+                          periods, surf["rho"])
+        var_rows[mode] = surf["var"]
     _write_csv(os.path.join(args.out, "variance_scenarios.csv"),
                ["T_s", "var_full", "var_const_fc", "var_no_cov"],
                [(f"{t:.6g}",) + tuple(f"{var_rows[k][j]:.8g}"
@@ -313,16 +327,7 @@ def cmd_sensitivity(args):
 
 
 def cmd_sample_params(args):
-    catalog = load_catalog(args.manifest)
-    _require_nonempty(catalog, args.manifest)
-    theta = []
-    for rec in catalog:
-        p = entry_params(catalog.entry(rec.id), rec)
-        if p.fc_hz is None:
-            raise DataError(f"entry {rec.id}: sample-params needs fc_hz in manifest")
-        theta.append([p.log_ai, p.d595, p.t_mid, p.omega_mid, p.omega_rate,
-                      p.zeta_f, p.fc_hz])
-    theta = np.asarray(theta)
+    _, theta = _theta(args.manifest, "sample-params")
 
     marginals = tuple(
         param_dist.fit_marginal(theta[:, j], fam)
@@ -343,63 +348,51 @@ def cmd_sample_params(args):
 # entry point
 # ---------------------------------------------------------------------------
 
+# subcommand -> (handler, help, flags besides --manifest/--out/--seed/--jobs)
+SUBCOMMANDS = {
+    "convert": (cmd_convert, "re-emit records as AT2 + CSV", ()),
+    "simulate": (cmd_simulate, "simulate realization batches", ("engine", "n")),
+    "spectrum": (cmd_spectrum, "response spectra of records", ("periods",)),
+    "fit-fc": (cmd_fit_fc, "optimize fc per record", ("engine", "mc", "fc_grid")),
+    "stats": (cmd_stats, "catalog spectral statistics", ("periods", "compare")),
+    "sensitivity": (cmd_sensitivity, "regression sensitivity analysis",
+                    ("periods",)),
+    "sample-params": (cmd_sample_params, "fit joint model and sample", ("n",)),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="stochgm",
         description="Stochastic ground-motion simulation with optimized "
                     "high-pass corner frequency")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp, engine=False, n=False, mc=False, fc_grid=False, periods=True):
+    for name, (func, help_text, flags) in SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(func=func)
         sp.add_argument("--manifest", required=True, help="catalog manifest file")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
         sp.add_argument("--jobs", type=int, default=1, help="worker pool size")
-        if engine:
+        if "engine" in flags:
             sp.add_argument("--engine", choices=("temporal", "spectral"),
                             default="spectral")
-        if n:
+        if "n" in flags:
             sp.add_argument("--n", type=int, default=100,
                             help="number of realizations / samples")
-        if mc:
+        if "mc" in flags:
             sp.add_argument("--mc", type=int, default=100,
                             help="Monte Carlo samples per grid point")
-        if fc_grid:
+        if "fc_grid" in flags:
             sp.add_argument("--fc-grid", type=_parse_triplet, default=(0.0, 2.0, 0.01),
                             metavar="LO:HI:STEP", help="corner-frequency grid (Hz)")
-        if periods:
-            sp.add_argument("--periods", type=_parse_triplet, default=None,
-                            metavar="LO:HI:COUNT", help="period grid override (s)")
-
-    sp = sub.add_parser("convert", help="re-emit records as AT2 + CSV")
-    common(sp, periods=False)
-    sp.set_defaults(func=cmd_convert)
-
-    sp = sub.add_parser("simulate", help="simulate realization batches")
-    common(sp, engine=True, n=True, periods=False)
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("spectrum", help="response spectra of records")
-    common(sp)
-    sp.set_defaults(func=cmd_spectrum)
-
-    sp = sub.add_parser("fit-fc", help="optimize fc per record")
-    common(sp, engine=True, mc=True, fc_grid=True, periods=False)
-    sp.set_defaults(func=cmd_fit_fc)
-
-    sp = sub.add_parser("stats", help="catalog spectral statistics")
-    common(sp)
-    sp.add_argument("--compare", default=None,
-                    help="second manifest (synthetic catalog) for comparison")
-    sp.set_defaults(func=cmd_stats)
-
-    sp = sub.add_parser("sensitivity", help="regression sensitivity analysis")
-    common(sp)
-    sp.set_defaults(func=cmd_sensitivity)
-
-    sp = sub.add_parser("sample-params", help="fit joint model and sample")
-    common(sp, n=True, periods=False)
-    sp.set_defaults(func=cmd_sample_params)
+        if "periods" in flags:
+            sp.add_argument("--periods", type=_parse_triplet,
+                            default=(0.05, 10.0, 100.0), metavar="LO:HI:COUNT",
+                            help="log-spaced period grid (s)")
+        if "compare" in flags:
+            sp.add_argument("--compare", default=None,
+                            help="second manifest (synthetic catalog) for comparison")
     return parser
 
 
@@ -422,20 +415,16 @@ def main(argv=None):
     }
     code = 0
     try:
-        if getattr(args, "n", 1) < 1:
-            raise DataError(f"--n must be at least 1, got {args.n}")
+        _check_args(args)
         run_log["result"] = args.func(args)
         run_log["status"] = "ok"
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, NumericalError) as exc:
+        code, status, what = ((3, "numerical_error", "numerical failure")
+                              if isinstance(exc, NumericalError)
+                              else (2, "data_error", "error"))
         log.error("%s", exc)
-        print(f"stochgm: error: {exc}", file=sys.stderr)
-        run_log.update(status="data_error", error=str(exc))
-        code = 2
-    except NumericalError as exc:
-        log.error("%s", exc)
-        print(f"stochgm: numerical failure: {exc}", file=sys.stderr)
-        run_log.update(status="numerical_error", error=str(exc))
-        code = 3
+        print(f"stochgm: {what}: {exc}", file=sys.stderr)
+        run_log.update(status=status, error=str(exc))
     run_log["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     with open(os.path.join(args.out, "run_log.json"), "w") as fh:
         json.dump(run_log, fh, indent=2, default=str)

@@ -37,6 +37,8 @@ from .resp_spectrum import batch_sa_matrix, compute_sa
 
 log = logging.getLogger(__name__)
 
+MAX_GRID_POINTS = 10 ** 5
+
 
 @dataclass(frozen=True)
 class FcSearchConfig:
@@ -53,6 +55,9 @@ class FcSearchConfig:
         if not (0 <= self.grid_lo <= self.grid_hi < math.inf
                 and 0 < self.step < math.inf):
             raise ValueError("need 0 <= grid_lo <= grid_hi and step > 0, all finite")
+        # checked before the grid property allocates it
+        if not (self.grid_hi - self.grid_lo) / self.step <= MAX_GRID_POINTS - 1:
+            raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
         if self.n_mc < 2:
             raise ValueError("n_mc must be >= 2")
         if not 0 < self.match_band[0] < self.match_band[1]:

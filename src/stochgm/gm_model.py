@@ -21,9 +21,9 @@ from scipy.optimize import brentq
 from scipy.signal import fftconvolve
 from scipy.special import gammainc, gammaincinv, gammaln
 
-from .errors import NoSolution, UnstableDiscretization
+from .catalog_io import G_ACCEL
+from .errors import DataError, DegenerateRecord, NoSolution, UnstableDiscretization
 
-G_ACCEL = 9.80665
 SIGMA_FLOOR_REL = 1e-6  # below this fraction of max sigma, X2 is set to 0
 
 
@@ -201,15 +201,24 @@ def solve_modulator(log_ai, d595, t_mid, t_total):
     return ModulatorCoeffs(a1=a1, a2=(k + 1) / 2, a3=r / 2)
 
 
+def energy_targets(accel, dt):
+    """AI = (pi/2g) int a^2 dt (m/s, trapezoid), d595 = t95 - t5 and
+    t_mid = t45 (s) of an acceleration series (m/s^2) sampled at dt, where
+    tq is the first time the normalized cumulative crosses q (linear
+    interpolation). Both the modulator fit and record extraction use it."""
+    a2 = np.asarray(accel, dtype=float) ** 2
+    cum = np.concatenate([[0.0], np.cumsum((a2[1:] + a2[:-1]) / 2 * dt)])
+    total = cum[-1]
+    if total <= 0:
+        raise DegenerateRecord("zero Arias intensity")
+    t = np.arange(cum.size) * dt
+    t5, t45, t95 = np.interp([0.05, 0.45, 0.95], cum / total, t)
+    return {"ai": math.pi / (2 * G_ACCEL) * total, "d595": t95 - t5, "t_mid": t45}
+
+
 def modulator_targets(coeffs, t_total, dt=1e-3):
     """Measure (AI, d595, t_mid) induced by q^2 on [0, t_total] by quadrature."""
-    t = np.arange(0.0, t_total + dt / 2, dt)
-    q2 = coeffs(t) ** 2
-    cum = np.concatenate([[0.0], np.cumsum((q2[1:] + q2[:-1]) / 2 * dt)])
-    total = cum[-1]
-    ai = math.pi / (2 * G_ACCEL) * total
-    t5, t45, t95 = np.interp([0.05, 0.45, 0.95], cum / total, t)
-    return {"ai": ai, "d595": t95 - t5, "t_mid": t45}
+    return energy_targets(coeffs(np.arange(0.0, t_total + dt / 2, dt)), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -316,19 +325,20 @@ def simulate(params, dt, n, seed, engine="spectral"):
 # high-pass filter
 # ---------------------------------------------------------------------------
 
+# t*exp(-wc*t) falls below 1e-8 of its peak near wc*t = 22.53, so the
+# kernel spans under KERNEL_SPAN / (fc*dt) samples (72k for the default
+# grid's 0.01 Hz point at dt = 0.005 s).
+KERNEL_SPAN = 3.6
+MAX_KERNEL_SAMPLES = 2 ** 20
+
+
 def _filter_kernel(fc_hz, dt):
     """Samples of t*exp(-wc*t) up to where the tail drops below 1e-8 of
     the kernel maximum."""
     wc = 2 * math.pi * fc_hz
-    hmax = math.exp(-1) / wc
-    length = max(int(2 / (wc * dt)), 16)
-    while True:
-        th = np.arange(length) * dt
-        hf = th * np.exp(-wc * th)
-        if hf[-1] < 1e-8 * hmax and length * dt > 1 / wc:
-            break
-        length *= 2
-    keep = np.nonzero(hf >= 1e-8 * hmax)[0][-1] + 2
+    th = np.arange(math.ceil(KERNEL_SPAN / (fc_hz * dt)) + 2) * dt
+    hf = th * np.exp(-wc * th)
+    keep = np.nonzero(hf >= 1e-8 * (math.exp(-1) / wc))[0][-1] + 2
     return hf[:keep]
 
 
@@ -339,7 +349,8 @@ def highpass(x3, fc_hz, dt):
     with t*exp(-wc*t), and the second discrete derivative of the result is
     returned, i.e. the transfer (iw)^2/(iw + wc)^2. fc_hz = 0 bypasses the
     filter entirely. The output is longer than the input by the pad, so the
-    motion settles to zero velocity and displacement.
+    motion settles to zero velocity and displacement. A corner so low that
+    the kernel would exceed MAX_KERNEL_SAMPLES is a DataError.
     """
     x3 = np.asarray(x3, dtype=float)
     if not np.all(np.isfinite(x3)):
@@ -348,6 +359,9 @@ def highpass(x3, fc_hz, dt):
         raise ValueError("fc_hz must be >= 0")
     if fc_hz == 0:
         return x3.copy()
+    if fc_hz * dt * MAX_KERNEL_SAMPLES < KERNEL_SPAN:
+        raise DataError(f"fc = {fc_hz:g} Hz at dt = {dt:g} s needs a high-pass "
+                        f"kernel of more than {MAX_KERNEL_SAMPLES} samples")
 
     hf = _filter_kernel(fc_hz, dt)
     pad = np.zeros(x3.shape[:-1] + (hf.size,))

@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.signal import lfilter
 
+from .catalog_io import G_ACCEL
 from .errors import DegenerateRealization
-
-G_ACCEL = 9.80665
 
 
 class PeriodUnderResolved(UserWarning):

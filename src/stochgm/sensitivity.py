@@ -37,7 +37,8 @@ class DesignMatrix:
         if theta.ndim != 2 or theta.shape[1] != len(self.labels):
             raise ValueError(f"theta must be (n, {len(self.labels)})")
         if theta.shape[0] <= theta.shape[1] + 1:
-            raise ValueError("need more records than coefficients (incl. intercept)")
+            raise ValueError(f"need more records ({theta.shape[0]}) than "
+                             f"coefficients incl. intercept ({theta.shape[1] + 1})")
         if not np.all(np.isfinite(theta)):
             raise ValueError("theta contains non-finite entries")
         if np.linalg.matrix_rank(np.column_stack([np.ones(theta.shape[0]), theta])) \
@@ -174,32 +175,30 @@ def modified_sigma_tt(bundle, mode):
     return s
 
 
-def scenario_neglect_fc(bundle, mode):
-    """Recompute the variance and correlation surfaces with the fc entries
-    of the input covariance removed; betas and residual terms unchanged."""
-    s = modified_sigma_tt(bundle, mode)
-    quad = bundle.beta.T @ s @ bundle.beta  # (nT, nT)
+def _surfaces(bundle, sigma_tt):
+    """Var and rho surfaces implied by the fitted bundle under input
+    covariance sigma_tt; betas and residual terms unchanged."""
+    quad = bundle.beta.T @ sigma_tt @ bundle.beta  # (nT, nT)
+    cross = bundle.cov_theta_eps.T @ bundle.beta
+    cov = quad + cross + cross.T + bundle.cov_eps
     var = np.diag(quad) + bundle.var_eps
-    cov = quad + bundle.cov_theta_eps.T @ bundle.beta \
-        + (bundle.cov_theta_eps.T @ bundle.beta).T + bundle.cov_eps
-    negative = var <= 0
     rho = cov / np.sqrt(np.outer(np.abs(var), np.abs(var)))
     rho = (rho + rho.T) / 2
     np.fill_diagonal(rho, 1.0)
-    return {"var": var, "cov": cov, "rho": rho, "sigma_tt": s,
-            "negative_variance": negative}
+    return {"var": var, "cov": cov, "rho": rho}
+
+
+def scenario_neglect_fc(bundle, mode):
+    """Recompute the variance and correlation surfaces with the fc entries
+    of the input covariance removed (see modified_sigma_tt)."""
+    s = modified_sigma_tt(bundle, mode)
+    surf = _surfaces(bundle, s)
+    return dict(surf, sigma_tt=s, negative_variance=surf["var"] <= 0)
 
 
 def baseline_surfaces(bundle):
     """Unmodified Var and rho surfaces implied by the fitted bundle."""
-    quad = bundle.beta.T @ bundle.sigma_tt @ bundle.beta
-    cov = quad + bundle.cov_theta_eps.T @ bundle.beta \
-        + (bundle.cov_theta_eps.T @ bundle.beta).T + bundle.cov_eps
-    var = np.diag(cov)
-    rho = cov / np.sqrt(np.outer(var, var))
-    rho = (rho + rho.T) / 2
-    np.fill_diagonal(rho, 1.0)
-    return {"var": var, "cov": cov, "rho": rho}
+    return _surfaces(bundle, bundle.sigma_tt)
 
 
 def covariance_percentages(bundle, t1, t2):

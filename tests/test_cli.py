@@ -46,6 +46,32 @@ def catalog_dir(tmp_path_factory):
     return root
 
 
+def edited_manifest(catalog_dir, path, edits=(), keep=None):
+    """Copy the fixture manifest to `path` with absolute AT2 paths, set
+    `edits` (key -> value) on entry rec03 and keep the first `keep`
+    entries."""
+    blocks = []
+    for block in (catalog_dir / "manifest.txt").read_text().split("\n\n")[:keep]:
+        fields = dict(line.split(" = ", 1) for line in block.strip().splitlines())
+        fields["path"] = str(catalog_dir / fields["path"])
+        if fields["id"] == "rec03":
+            fields.update(edits)
+        blocks.append("\n".join(f"{k} = {v}" for k, v in fields.items()))
+    path.write_text("\n\n".join(blocks) + "\n")
+    return str(path)
+
+
+def assert_data_error(argv, out, named, capsys):
+    """The run exits 2 without a traceback and its run_log.json reports a
+    data error whose message contains `named`."""
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("stochgm: error:") and "Traceback" not in err
+    run_log = json.loads((out / "run_log.json").read_text())
+    assert run_log["status"] == "data_error"
+    assert named in run_log["error"]
+
+
 def read_csv(path):
     with open(path) as fh:
         rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
@@ -155,6 +181,8 @@ def test_fit_fc_empty_catalog(tmp_path):
     ["--fc-grid", "0.5:0:0.1"],
     ["--fc-grid=-0.1:0.5:0.1"],
     ["--mc", "1"],
+    ["--fc-grid", "0:2:1e-12"],     # 2e12 grid points
+    ["--fc-grid", "1e-9:0.5:0.1"],  # a high-pass kernel of ~1.8e11 samples
 ])
 def test_fit_fc_bad_search_is_data_error(catalog_dir, tmp_path, flags):
     out = tmp_path / "o"
@@ -162,6 +190,7 @@ def test_fit_fc_bad_search_is_data_error(catalog_dir, tmp_path, flags):
                  "--out", str(out)] + flags) == 2
     run_log = json.loads((out / "run_log.json").read_text())
     assert run_log["status"] == "data_error"
+    assert any(s in run_log["error"] for s in ("--fc-grid", "--mc", "entry rec00"))
     assert not (out / "fc_table.csv").exists()
 
 
@@ -194,6 +223,67 @@ def test_n_below_one_is_data_error(catalog_dir, tmp_path, command):
     run_log = json.loads((out / "run_log.json").read_text())
     assert run_log["status"] == "data_error"
     assert "--n" in run_log["error"]
+
+
+@pytest.mark.parametrize("command,edits", [
+    ("simulate", {"zeta_f": "1.5"}),
+    ("fit-fc", {"zeta_f": "1.5"}),
+    ("sample-params", {"zeta_f": "1.5"}),
+    ("simulate", {"t_mid": "50", "t_total": "20"}),
+    ("simulate", {"fc_hz": "1e-9"}),  # a high-pass kernel of ~1.8e11 samples
+    ("simulate", {"fc_hz": "nan"}),
+    ("fit-fc", {"d595": "inf"}),
+])
+def test_bad_manifest_entry_is_data_error(catalog_dir, tmp_path, capsys,
+                                          command, edits):
+    manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", edits)
+    flags = ["--n", "2"] if command == "simulate" else []
+    assert_data_error([command, "--manifest", manifest] + flags,
+                      tmp_path / "o", "entry rec03", capsys)
+
+
+@pytest.mark.parametrize("command,periods", [
+    ("spectrum", "0:10:20"),
+    ("spectrum", "10:0.05:20"),
+    ("spectrum", "-1:10:5"),
+    ("spectrum", "0.05:nan:5"),
+    ("spectrum", "0.1:5:2.5"),
+    ("stats", "0.05:10:0"),
+    ("stats", "0.05:10:1"),
+])
+def test_bad_periods_is_data_error(catalog_dir, tmp_path, capsys, command,
+                                   periods):
+    assert_data_error([command, "--manifest", str(catalog_dir / "manifest.txt"),
+                       f"--periods={periods}"], tmp_path / "o", "--periods", capsys)
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("simulate", "--seed=-1"),
+    ("stats", "--jobs=0"),
+    ("fit-fc", "--jobs=-1"),
+])
+def test_flag_below_minimum_is_data_error(catalog_dir, tmp_path, capsys,
+                                          command, flag):
+    assert_data_error([command, "--manifest", str(catalog_dir / "manifest.txt"),
+                       flag], tmp_path / "o", flag.split("=")[0], capsys)
+
+
+@pytest.mark.parametrize("body", [
+    "NPTS=      1, DT=    0.0100  SEC\n  1.0e-01\n",
+    "NPTS=      2, DT=    0.0000  SEC\n  1.0e-01  2.0e-01\n",
+    "NPTS=      2, DT=    0.0100  SEC\n  1.0e-01  abc\n",
+], ids=["one-sample", "zero-dt", "not-a-number"])
+def test_bad_at2_is_data_error(tmp_path, capsys, body):
+    (tmp_path / "r.AT2").write_text("title\nsource\nunits\n" + body)
+    (tmp_path / "m.txt").write_text("id = r\npath = r.AT2\n")
+    assert_data_error(["spectrum", "--manifest", str(tmp_path / "m.txt")],
+                      tmp_path / "o", "entry r", capsys)
+
+
+def test_sensitivity_too_few_records_is_data_error(catalog_dir, tmp_path, capsys):
+    manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", keep=6)
+    assert_data_error(["sensitivity", "--manifest", manifest], tmp_path / "o",
+                      "--manifest", capsys)
 
 
 def test_stats_single_and_compare(catalog_dir, tmp_path):

@@ -107,6 +107,8 @@ class TestConfig:
             FcSearchConfig(grid_lo=-0.1)
         with pytest.raises(ValueError):
             FcSearchConfig(grid_lo=0.5, grid_hi=0.0)
+        with pytest.raises(ValueError):
+            FcSearchConfig(step=1e-12)  # 2e12 points, refused before allocation
 
 
 def both_searches(rec, params, **grid):

@@ -3,7 +3,7 @@ import pytest
 
 from stochgm import (GMParams, apply_highpass, highpass, simulate_spectral,
                      simulate_temporal, solve_modulator)
-from stochgm.errors import NoSolution, UnstableDiscretization
+from stochgm.errors import DataError, NoSolution, UnstableDiscretization
 from stochgm.gm_model import G_ACCEL, SimBatch
 
 
@@ -143,3 +143,11 @@ class TestHighpass:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             highpass(np.array([0.0, np.nan]), 0.5, 0.01)
+
+    def test_kernel_cap(self):
+        # the default grid's 0.01 Hz point at dt = 0.005 s (~72k samples)
+        out = highpass(np.ones(10), 0.01, 0.005)
+        assert np.all(np.isfinite(out))
+        # ~1.8e11 samples: refused before anything is allocated
+        with pytest.raises(DataError, match="kernel"):
+            highpass(np.ones(10), 1e-9, 0.02)
