@@ -22,7 +22,7 @@ import numpy as np
 from . import catalog_stats, fc_opt, param_dist, sensitivity, svgplot
 from .catalog_io import load_catalog, write_at2
 from .errors import DataError, NumericalError
-from .gm_model import G_ACCEL, GMParams, apply_highpass, simulate
+from .gm_model import G_ACCEL, GMParams, apply_highpass, n_samples, simulate
 from .resp_spectrum import compute_sa, standard_period_grid
 
 log = logging.getLogger("stochgm")
@@ -30,6 +30,9 @@ log = logging.getLogger("stochgm")
 # fixed default seed: reproducibility is the product, not entropy
 DEFAULT_SEED = 20240715
 CORR_PANEL_T2 = (0.1, 0.5, 1.0, 4.0)
+# realizations x samples of one record's simulation (--n or --mc): 128 MiB
+# per float64 (n, m) array; the engines hold about five such arrays
+MAX_SIM_ELEMENTS = 2 ** 24
 
 
 # ---------------------------------------------------------------------------
@@ -53,9 +56,11 @@ def _check_args(args):
             raise DataError(f"--{flag} must be at least {least}, got {value}")
     if hasattr(args, "periods"):
         lo, hi, count = args.periods
-        if not (0 < lo < hi < math.inf and count >= 2 and count.is_integer()):
+        if not (0 < lo < hi < math.inf and count.is_integer()
+                and 2 <= count <= fc_opt.MAX_GRID_POINTS):
             raise DataError("--periods LO:HI:COUNT needs 0 < LO < HI < inf and "
-                            f"a whole COUNT >= 2, got {lo:g}:{hi:g}:{count:g}")
+                            f"a whole COUNT in [2, {fc_opt.MAX_GRID_POINTS}], "
+                            f"got {lo:g}:{hi:g}:{count:g}")
         args.periods = standard_period_grid(n=int(count), lo=lo, hi=hi)
     if hasattr(args, "fc_grid"):
         try:
@@ -84,10 +89,11 @@ def entry_params(entry, record, fc_default=None):
                     zeta_f=p["zeta_f"], t_total=p["t_total"], fc_hz=fc)
 
 
-def _load(manifest, params=False, fc_default=None):
+def _load(manifest, params=False, fc_default=None, draws=None):
     """The non-empty catalog at `manifest` and, with params, each record's
     GMParams by id (entries and records pair by position: load_catalog
-    builds both in manifest order)."""
+    builds both in manifest order). With draws = (flag, n), n realizations
+    of each record's simulation must fit in MAX_SIM_ELEMENTS."""
     catalog = load_catalog(manifest)
     if len(catalog) == 0:
         raise DataError(f"catalog from {manifest} is empty")
@@ -96,9 +102,15 @@ def _load(manifest, params=False, fc_default=None):
     built = {}
     for entry, rec in zip(catalog.entries, catalog.records):
         try:
-            built[entry.id] = entry_params(entry, rec, fc_default)
+            p = built[entry.id] = entry_params(entry, rec, fc_default)
         except ValueError as exc:
             raise DataError(f"entry {entry.id}: {exc}") from exc
+        if draws:
+            flag, n = draws
+            m = n_samples(p, rec.dt)
+            if n * m > MAX_SIM_ELEMENTS:
+                raise DataError(f"entry {entry.id}: {flag} {n} realizations x {m} "
+                                f"samples exceeds {MAX_SIM_ELEMENTS} elements")
     return catalog, built
 
 
@@ -170,7 +182,8 @@ def cmd_convert(args):
 
 
 def cmd_simulate(args):
-    catalog, params = _load(args.manifest, params=True, fc_default=0.0)
+    catalog, params = _load(args.manifest, params=True, fc_default=0.0,
+                            draws=("--n", args.n))
 
     def one(rec):
         p = params[rec.id]
@@ -185,7 +198,8 @@ def cmd_simulate(args):
                    ["realization", "arias_m_per_s", "pga_ms2"],
                    [(i, f"{ai[i]:.6g}", f"{pga[i]:.6g}") for i in range(len(ai))])
         return {"id": rec.id, "mean_ai": float(ai.mean()),
-                "mean_pga": float(pga.mean())}
+                "mean_pga": float(pga.mean()),
+                "sigma_floor_hits": batch.sigma_floor_hits}
 
     return {"batches": _per_record(one, catalog.records), "engine": args.engine,
             "n": args.n}
@@ -206,7 +220,7 @@ def cmd_spectrum(args):
 
 
 def cmd_fit_fc(args):
-    catalog, params = _load(args.manifest, params=True)
+    catalog, params = _load(args.manifest, params=True, draws=("--mc", args.mc))
 
     def one(rec):
         return fc_opt.optimize_fc(rec, params[rec.id].with_fc(None),

@@ -25,6 +25,9 @@ from .catalog_io import G_ACCEL
 from .errors import DataError, DegenerateRecord, NoSolution, UnstableDiscretization
 
 SIGMA_FLOOR_REL = 1e-6  # below this fraction of max sigma, X2 is set to 0
+# elements per row block of the engines' (rows x m) or (rows x K) matrices:
+# 8 MiB per float64 temporary, so engine memory is O(BLOCK_ELEMENTS + n*m)
+BLOCK_ELEMENTS = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -95,13 +98,19 @@ class ModulatorCoeffs:
 
 @dataclass(frozen=True)
 class SimBatch:
-    """n realizations of one parameter set; rows are realizations (m/s^2)."""
+    """n realizations of one parameter set; rows are realizations (m/s^2).
+
+    sigma_floor_hits counts the time samples whose X2 the engine zeroed
+    because sigma_X1 was at or below SIGMA_FLOOR_REL of its maximum; it is
+    a run diagnostic and is not stored by save_npz.
+    """
 
     realizations: np.ndarray  # (n, m)
     dt: float
     seed: int
     params: GMParams
     domain_tag: str  # "temporal" | "spectral"
+    sigma_floor_hits: int = 0
 
     @property
     def n(self):
@@ -236,9 +245,13 @@ def _noise_matrix(seed, n, shape_per_realization):
     return out
 
 
+def n_samples(params, dt):
+    """Samples m of a simulation of params at dt (t = 0 .. t_total)."""
+    return int(round(params.t_total / dt)) + 1
+
+
 def _time_grid(params, dt):
-    m = int(round(params.t_total / dt)) + 1
-    return np.arange(m) * dt
+    return np.arange(n_samples(params, dt)) * dt
 
 
 def _check_dt(params, dt):
@@ -247,12 +260,74 @@ def _check_dt(params, dt):
             f"omega_max*dt = {params.omega_max * dt:.3f} >= 0.5; reduce dt")
 
 
+def _sigma_ok(sigma):
+    return sigma > SIGMA_FLOOR_REL * sigma.max()
+
+
 def _normalize_and_modulate(x1, sigma, q):
     """Steps 2-3 shared by both engines; x1 has shape (m, n)."""
     x2 = np.zeros_like(x1)
-    ok = sigma > SIGMA_FLOOR_REL * sigma.max()
+    ok = _sigma_ok(sigma)
     x2[ok] = x1[ok] / sigma[ok, None]
     return q[:, None] * x2
+
+
+def _row_blocks(m, width):
+    """[i0, i1) spans of output-time rows; a block holds at most
+    BLOCK_ELEMENTS elements per (rows x width) matrix, whatever n is."""
+    rows = max(1, BLOCK_ELEMENTS // width)
+    return [(i0, min(i0 + rows, m)) for i0 in range(0, m, rows)]
+
+
+def _temporal_x1(params, t, dt, z):
+    """X1 (m, n) and sigma_X1 (m,) of the time-domain engine from the
+    noise z (n, m). Row i of the impulse-response matrix h[i, j] (response
+    at t_i to the increment at t_j, filter frozen at t_j) is causal, so row
+    block [i0, i1) needs only columns [0, i1)."""
+    omega = params.omega_at(t)  # filter parameters frozen at excitation time
+    zeta = params.zeta_f
+    sq = math.sqrt(1 - zeta ** 2)
+    zs = z.T * math.sqrt(dt)  # (m, n)
+    x1 = np.empty((t.size, z.shape[0]))
+    sigma = np.empty(t.size)
+    for i0, i1 in _row_blocks(t.size, t.size):
+        lag = t[i0:i1, None] - t[None, :i1]
+        np.clip(lag, 0.0, None, out=lag)  # h = 0 for lag <= 0: sin(0) = 0
+        w = omega[:i1]
+        h = (w / sq) * np.exp(-zeta * w * lag) * np.sin(w * sq * lag)
+        sigma[i0:i1] = np.sqrt((h ** 2).sum(axis=1) * dt)
+        x1[i0:i1] = h @ zs[:i1]
+    return x1, sigma
+
+
+def _spectral_x1(params, t, dt, ab):
+    """X1 (m, n) and sigma_X1 (m,) of the spectral engine from the noise
+    ab (n, 2, K): cosine and sine amplitudes at w_k = k * dw, k = 1..K."""
+    big_k = ab.shape[2]
+    dw = math.pi / (dt * big_k)
+    w = dw * np.arange(1, big_k + 1)
+    omega = params.omega_at(t)
+    zeta = params.zeta_f
+    a, b = ab[:, 0, :].T, ab[:, 1, :].T
+    x1 = np.empty((t.size, ab.shape[0]))
+    sigma = np.empty(t.size)
+    for i0, i1 in _row_blocks(t.size, big_k):
+        om = omega[i0:i1, None]
+        mag = om ** 2 / np.sqrt((om ** 2 - w ** 2) ** 2 + (2 * zeta * om * w) ** 2)
+        sigma[i0:i1] = np.sqrt((mag ** 2).sum(axis=1) * 2 * dw)
+        phase = w * t[i0:i1, None]
+        x1[i0:i1] = (mag * np.cos(phase) * math.sqrt(2 * dw)) @ a \
+            + (mag * np.sin(phase) * math.sqrt(2 * dw)) @ b
+    return x1, sigma
+
+
+def _batch(params, t, dt, seed, x1, sigma, domain_tag):
+    """Steps 2-3 on X1, packed as a SimBatch of rows = realizations."""
+    q = solve_modulator(params.log_ai, params.d595, params.t_mid, params.t_total)(t)
+    x3 = _normalize_and_modulate(x1, sigma, q)
+    return SimBatch(realizations=np.ascontiguousarray(x3.T), dt=dt, seed=seed,
+                    params=params, domain_tag=domain_tag,
+                    sigma_floor_hits=int(t.size - _sigma_ok(sigma).sum()))
 
 
 def simulate_temporal(params, dt, n, seed):
@@ -260,26 +335,8 @@ def simulate_temporal(params, dt, n, seed):
     frozen-parameter oscillator impulse response, then Steps 2-3."""
     _check_dt(params, dt)
     t = _time_grid(params, dt)
-    m = t.size
-
-    omega = params.omega_at(t)  # filter parameters frozen at excitation time
-    zeta = params.zeta_f
-    sq = math.sqrt(1 - zeta ** 2)
-    lag = t[:, None] - t[None, :]
-    np.clip(lag, 0.0, None, out=lag)
-    h = (omega[None, :] / sq) * np.exp(-zeta * omega[None, :] * lag) \
-        * np.sin(omega[None, :] * sq * lag)
-    h[lag <= 0] = 0.0
-
-    sigma = np.sqrt((h ** 2).sum(axis=1) * dt)
-
-    z = _noise_matrix(seed, n, (m,))  # (n, m)
-    x1 = h @ (z.T * math.sqrt(dt))  # (m, n)
-
-    q = solve_modulator(params.log_ai, params.d595, params.t_mid, params.t_total)(t)
-    x3 = _normalize_and_modulate(x1, sigma, q)
-    return SimBatch(realizations=np.ascontiguousarray(x3.T), dt=dt, seed=seed,
-                    params=params, domain_tag="temporal")
+    x1, sigma = _temporal_x1(params, t, dt, _noise_matrix(seed, n, (t.size,)))
+    return _batch(params, t, dt, seed, x1, sigma, "temporal")
 
 
 def simulate_spectral(params, dt, n, seed):
@@ -287,29 +344,10 @@ def simulate_spectral(params, dt, n, seed):
     frequency response frozen at each output time, then Steps 2-3."""
     _check_dt(params, dt)
     t = _time_grid(params, dt)
-
     # K * dw = pi/dt with dw <= 2*pi/t_total
     big_k = int(math.ceil(params.t_total / (2 * dt)))
-    dw = math.pi / (dt * big_k)
-    w = dw * np.arange(1, big_k + 1)
-
-    omega = params.omega_at(t)[:, None]
-    zeta = params.zeta_f
-    mag = omega ** 2 / np.sqrt((omega ** 2 - w[None, :] ** 2) ** 2
-                               + (2 * zeta * omega * w[None, :]) ** 2)
-    sigma = np.sqrt((mag ** 2).sum(axis=1) * 2 * dw)
-
-    phase = w[None, :] * t[:, None]
-    cmat = mag * np.cos(phase) * math.sqrt(2 * dw)
-    smat = mag * np.sin(phase) * math.sqrt(2 * dw)
-
-    ab = _noise_matrix(seed, n, (2, big_k))  # (n, 2, K)
-    x1 = cmat @ ab[:, 0, :].T + smat @ ab[:, 1, :].T  # (m, n)
-
-    q = solve_modulator(params.log_ai, params.d595, params.t_mid, params.t_total)(t)
-    x3 = _normalize_and_modulate(x1, sigma, q)
-    return SimBatch(realizations=np.ascontiguousarray(x3.T), dt=dt, seed=seed,
-                    params=params, domain_tag="spectral")
+    x1, sigma = _spectral_x1(params, t, dt, _noise_matrix(seed, n, (2, big_k)))
+    return _batch(params, t, dt, seed, x1, sigma, "spectral")
 
 
 def simulate(params, dt, n, seed, engine="spectral"):
@@ -378,6 +416,5 @@ def highpass(x3, fc_hz, dt):
 
 def apply_highpass(batch, fc_hz):
     """High-pass every realization of a batch; returns a new SimBatch."""
-    out = highpass(batch.realizations, fc_hz, batch.dt)
-    return SimBatch(realizations=out, dt=batch.dt, seed=batch.seed,
-                    params=batch.params.with_fc(fc_hz), domain_tag=batch.domain_tag)
+    return replace(batch, realizations=highpass(batch.realizations, fc_hz, batch.dt),
+                   params=batch.params.with_fc(fc_hz))

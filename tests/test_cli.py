@@ -6,6 +6,7 @@ import pytest
 
 from stochgm import GMParams, simulate_spectral, write_at2
 from stochgm.catalog_io import AccelerogramRecord
+from stochgm import cli
 from stochgm.cli import main
 from stochgm.gm_model import apply_highpass
 
@@ -123,6 +124,10 @@ def test_simulate_engines_agree_on_ai(catalog_dir, tmp_path):
         _, rows = read_csv(out / "rec00_summary.csv")
         ai = np.array([float(r[1]) for r in rows])
         means[engine] = (ai.mean(), ai.std(ddof=1) / np.sqrt(ai.size))
+        # health counter: the temporal engine's sigma is 0 at t = 0 only
+        batches = json.loads((out / "run_log.json").read_text())["result"]["batches"]
+        assert [b["sigma_floor_hits"] for b in batches] == \
+            [int(engine == "temporal")] * 12
     diff = abs(means["temporal"][0] - means["spectral"][0])
     se = np.hypot(means["temporal"][1], means["spectral"][1])
     assert diff < 2.5 * se
@@ -250,6 +255,8 @@ def test_bad_manifest_entry_is_data_error(catalog_dir, tmp_path, capsys,
     ("spectrum", "0.1:5:2.5"),
     ("stats", "0.05:10:0"),
     ("stats", "0.05:10:1"),
+    ("spectrum", "0.05:10:1e9"),     # an 8 GB period grid
+    ("stats", "0.05:10:100001"),
 ])
 def test_bad_periods_is_data_error(catalog_dir, tmp_path, capsys, command,
                                    periods):
@@ -266,6 +273,24 @@ def test_flag_below_minimum_is_data_error(catalog_dir, tmp_path, capsys,
                                           command, flag):
     assert_data_error([command, "--manifest", str(catalog_dir / "manifest.txt"),
                        flag], tmp_path / "o", flag.split("=")[0], capsys)
+
+
+@pytest.mark.parametrize("command,flag", [("simulate", "--n"), ("fit-fc", "--mc")])
+def test_draws_over_cap_is_data_error(catalog_dir, tmp_path, capsys, command,
+                                      flag):
+    # 10^6 realizations of 1251 samples: 10 GB per float64 array
+    assert_data_error([command, "--manifest", str(catalog_dir / "manifest.txt"),
+                       flag, str(10 ** 6)], tmp_path / "o",
+                      f"entry rec00: {flag} 1000000", capsys)
+
+
+def test_draws_cap_boundary(catalog_dir, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SIM_ELEMENTS", 3 * 1251)
+    manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", keep=1)
+    assert main(["simulate", "--manifest", manifest, "--n", "3",
+                 "--out", str(tmp_path / "ok")]) == 0
+    assert_data_error(["simulate", "--manifest", manifest, "--n", "4"],
+                      tmp_path / "o", "entry rec00: --n 4", capsys)
 
 
 @pytest.mark.parametrize("body", [

@@ -1,8 +1,15 @@
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from stochgm import (GMParams, apply_highpass, highpass, simulate_spectral,
-                     simulate_temporal, solve_modulator)
+from stochgm import (GMParams, apply_highpass, gm_model, highpass,
+                     simulate_spectral, simulate_temporal, solve_modulator)
 from stochgm.errors import DataError, NoSolution, UnstableDiscretization
 from stochgm.gm_model import G_ACCEL, SimBatch
 
@@ -72,9 +79,19 @@ class TestEngines:
 
     def test_substreams_prefix_stable(self, base_params, sim_dt):
         # first realizations do not depend on how many are drawn
-        b1 = simulate_temporal(base_params, sim_dt, 4, seed=3)
-        b2 = simulate_temporal(base_params, sim_dt, 8, seed=3)
-        np.testing.assert_array_equal(b1.realizations, b2.realizations[:4])
+        for engine in (simulate_temporal, simulate_spectral):
+            b1 = engine(base_params, sim_dt, 4, seed=3)
+            b2 = engine(base_params, sim_dt, 8, seed=3)
+            np.testing.assert_array_equal(b1.realizations, b2.realizations[:4])
+
+    def test_sigma_floor_hits(self, base_params, sim_dt):
+        # the temporal engine's sigma is exactly 0 at t = 0 (no increment
+        # has arrived yet); the spectral engine's is positive everywhere
+        temporal = simulate_temporal(base_params, sim_dt, 2, seed=1)
+        assert temporal.sigma_floor_hits == 1
+        assert np.all(temporal.realizations[:, 0] == 0.0)
+        assert simulate_spectral(base_params, sim_dt, 2, seed=1).sigma_floor_hits == 0
+        assert apply_highpass(temporal, 0.5).sigma_floor_hits == 1
 
     def test_unstable_dt(self, base_params):
         with pytest.raises(UnstableDiscretization):
@@ -88,6 +105,93 @@ class TestEngines:
         np.testing.assert_array_equal(loaded.realizations, batch.realizations)
         assert loaded.params == batch.params
         assert loaded.domain_tag == "spectral"
+
+
+def dense_temporal_x1(params, t, dt, z):
+    """Reference: the whole m x m impulse-response matrix at once."""
+    omega = params.omega_at(t)
+    zeta = params.zeta_f
+    sq = math.sqrt(1 - zeta ** 2)
+    lag = t[:, None] - t[None, :]
+    np.clip(lag, 0.0, None, out=lag)
+    h = (omega[None, :] / sq) * np.exp(-zeta * omega[None, :] * lag) \
+        * np.sin(omega[None, :] * sq * lag)
+    h[lag <= 0] = 0.0
+    return h @ (z.T * math.sqrt(dt)), np.sqrt((h ** 2).sum(axis=1) * dt)
+
+
+def dense_spectral_x1(params, t, dt, ab):
+    """Reference: the whole m x K amplitude and phase matrices at once."""
+    big_k = ab.shape[2]
+    dw = math.pi / (dt * big_k)
+    w = dw * np.arange(1, big_k + 1)
+    omega = params.omega_at(t)[:, None]
+    zeta = params.zeta_f
+    mag = omega ** 2 / np.sqrt((omega ** 2 - w[None, :] ** 2) ** 2
+                               + (2 * zeta * omega * w[None, :]) ** 2)
+    phase = w[None, :] * t[:, None]
+    cmat = mag * np.cos(phase) * math.sqrt(2 * dw)
+    smat = mag * np.sin(phase) * math.sqrt(2 * dw)
+    x1 = cmat @ ab[:, 0, :].T + smat @ ab[:, 1, :].T
+    return x1, np.sqrt((mag ** 2).sum(axis=1) * 2 * dw)
+
+
+class TestBlockedEngines:
+    # 7000 elements: 5 rows per temporal block and 11 per spectral block
+    # at m = 1251, K = 625, both with a ragged last block
+    BLOCK = 7000
+
+    @pytest.mark.parametrize("engine,x1_fn,dense_fn,noise_shape", [
+        (simulate_temporal, "_temporal_x1", dense_temporal_x1,
+         lambda m, big_k: (m,)),
+        (simulate_spectral, "_spectral_x1", dense_spectral_x1,
+         lambda m, big_k: (2, big_k)),
+    ], ids=["temporal", "spectral"])
+    def test_blocked_matches_dense(self, monkeypatch, base_params, sim_dt,
+                                   engine, x1_fn, dense_fn, noise_shape):
+        monkeypatch.setattr(gm_model, "BLOCK_ELEMENTS", self.BLOCK)
+        t = gm_model._time_grid(base_params, sim_dt)
+        m = t.size
+        big_k = math.ceil(base_params.t_total / (2 * sim_dt))
+        z = gm_model._noise_matrix(7, 6, noise_shape(m, big_k))
+        width = z.shape[-1]
+        blocks = gm_model._row_blocks(m, width)
+        assert len(blocks) > 2 and blocks[-1][1] - blocks[-1][0] < blocks[0][1]
+
+        x1, sigma = getattr(gm_model, x1_fn)(base_params, t, sim_dt, z)
+        x1_ref, sigma_ref = dense_fn(base_params, t, sim_dt, z)
+        assert np.abs(x1 - x1_ref).max() <= 1e-12 * np.abs(x1_ref).max()
+        assert np.abs(sigma - sigma_ref).max() <= 1e-12 * sigma_ref.max()
+
+        batch = engine(base_params, sim_dt, 6, seed=7)
+        q = solve_modulator(base_params.log_ai, base_params.d595,
+                            base_params.t_mid, base_params.t_total)(t)
+        ref = gm_model._normalize_and_modulate(x1_ref, sigma_ref, q).T
+        assert np.abs(batch.realizations - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("engine", ["simulate_temporal", "simulate_spectral"])
+    def test_memory_bound(self, engine):
+        # m = 12001 (60 s at 0.005 s), n = 4. Built whole, the temporal
+        # engine's lag and h are 2 x 12001^2 x 8 B = 2.3 GB and the spectral
+        # engine's four 12001 x 6000 arrays are 2.3 GB; blocked, the peak
+        # is the interpreter, numpy and a few 8 MiB blocks
+        probe = textwrap.dedent(f"""
+            import numpy as np
+            from stochgm import GMParams, {engine}
+            p = GMParams(np.log(0.5), 24.0, 12.0, 15.0, -0.2, 0.3, 60.0)
+            assert {engine}(p, 0.005, 4, seed=1).realizations.shape == (4, 12001)
+        """)
+        # Linux starts a child's ru_maxrss at the RSS of the process it was
+        # forked from, so the probe runs under a small interpreter, not
+        # under this (large) test process
+        launcher = ("import resource, subprocess, sys; "
+                    f"subprocess.run([sys.executable, '-c', {probe!r}], check=True); "
+                    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+        src = str(Path(gm_model.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", launcher],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, timeout=300, check=True)
+        assert int(out.stdout) / 1024 < 512  # ru_maxrss is in KiB on Linux
 
 
 class TestGMParams:
