@@ -14,12 +14,14 @@ import json
 import logging
 import math
 import os
+import platform
 import sys
 import time
 
 import numpy as np
+import scipy
 
-from . import catalog_stats, fc_opt, param_dist, sensitivity, svgplot
+from . import __version__, catalog_stats, fc_opt, param_dist, sensitivity, svgplot
 from .catalog_io import load_catalog, write_at2
 from .errors import DataError, NumericalError
 from .gm_model import G_ACCEL, GMParams, apply_highpass, n_samples, simulate
@@ -411,6 +413,7 @@ def build_parser():
 
 
 def main(argv=None):
+    t0 = time.monotonic()
     level = os.environ.get("STOCHGM_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
@@ -426,6 +429,8 @@ def main(argv=None):
         "argv": sys.argv[1:] if argv is None else list(argv),
         "started": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "seed": getattr(args, "seed", None),
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__, "stochgm": __version__},
     }
     code = 0
     try:
@@ -440,6 +445,7 @@ def main(argv=None):
         print(f"stochgm: {what}: {exc}", file=sys.stderr)
         run_log.update(status=status, error=str(exc))
     run_log["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")
+    run_log["elapsed_s"] = time.monotonic() - t0
     with open(os.path.join(args.out, "run_log.json"), "w") as fh:
         json.dump(run_log, fh, indent=2, default=str)
     return code

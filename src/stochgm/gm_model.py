@@ -10,7 +10,9 @@ Both engines build the same pre-filter process X3:
 3. gamma-type envelope X3 = q(t) * X2.
 
 The high-pass stage (critically damped oscillator, corner frequency fc) is
-kept separate so an fc search can reuse one X3 batch.
+kept separate so an fc search can reuse one X3 batch. It is one two-pole
+recursion (scipy.signal.lfilter) over the zero-padded batch, so it holds
+O(n * (m + pad)) memory and no filter kernel.
 """
 
 import math
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.signal import fftconvolve
+from scipy.signal import lfilter
 from scipy.special import gammainc, gammaincinv, gammaln
 
 from .catalog_io import G_ACCEL
@@ -214,7 +216,8 @@ def energy_targets(accel, dt):
     """AI = (pi/2g) int a^2 dt (m/s, trapezoid), d595 = t95 - t5 and
     t_mid = t45 (s) of an acceleration series (m/s^2) sampled at dt, where
     tq is the first time the normalized cumulative crosses q (linear
-    interpolation). Both the modulator fit and record extraction use it."""
+    interpolation). Record extraction (catalog_stats.extract_simple_params)
+    uses it."""
     a2 = np.asarray(accel, dtype=float) ** 2
     cum = np.concatenate([[0.0], np.cumsum((a2[1:] + a2[:-1]) / 2 * dt)])
     total = cum[-1]
@@ -223,11 +226,6 @@ def energy_targets(accel, dt):
     t = np.arange(cum.size) * dt
     t5, t45, t95 = np.interp([0.05, 0.45, 0.95], cum / total, t)
     return {"ai": math.pi / (2 * G_ACCEL) * total, "d595": t95 - t5, "t_mid": t45}
-
-
-def modulator_targets(coeffs, t_total, dt=1e-3):
-    """Measure (AI, d595, t_mid) induced by q^2 on [0, t_total] by quadrature."""
-    return energy_targets(coeffs(np.arange(0.0, t_total + dt / 2, dt)), dt)
 
 
 # ---------------------------------------------------------------------------
@@ -363,32 +361,24 @@ def simulate(params, dt, n, seed, engine="spectral"):
 # high-pass filter
 # ---------------------------------------------------------------------------
 
-# t*exp(-wc*t) falls below 1e-8 of its peak near wc*t = 22.53, so the
-# kernel spans under KERNEL_SPAN / (fc*dt) samples (72k for the default
-# grid's 0.01 Hz point at dt = 0.005 s).
-KERNEL_SPAN = 3.6
+# the pad is the span of t*exp(-wc*t) above 1e-8 of its peak: u*exp(-u) =
+# 1e-8*exp(-1) at u = wc*t = TAIL_U, i.e. -W_{-1}(-1e-8/e); about 72k
+# samples for the default grid's 0.01 Hz point at dt = 0.005 s
+TAIL_U = 22.5357852450643
 MAX_KERNEL_SAMPLES = 2 ** 20
-
-
-def _filter_kernel(fc_hz, dt):
-    """Samples of t*exp(-wc*t) up to where the tail drops below 1e-8 of
-    the kernel maximum."""
-    wc = 2 * math.pi * fc_hz
-    th = np.arange(math.ceil(KERNEL_SPAN / (fc_hz * dt)) + 2) * dt
-    hf = th * np.exp(-wc * th)
-    keep = np.nonzero(hf >= 1e-8 * (math.exp(-1) / wc))[0][-1] + 2
-    return hf[:keep]
 
 
 def highpass(x3, fc_hz, dt):
     """Apply the critically damped high-pass filter along the last axis.
 
-    The input is zero-padded by the kernel's effective length, convolved
-    with t*exp(-wc*t), and the second discrete derivative of the result is
-    returned, i.e. the transfer (iw)^2/(iw + wc)^2. fc_hz = 0 bypasses the
-    filter entirely. The output is longer than the input by the pad, so the
-    motion settles to zero velocity and displacement. A corner so low that
-    the kernel would exceed MAX_KERNEL_SAMPLES is a DataError.
+    The input is zero-padded by floor(TAIL_U / (wc*dt)) + 2 samples and run
+    through the two-pole recursion r*(1 - z^-1)^2 / (1 - r*z^-1)^2 with
+    r = exp(-wc*dt): the exact z-transform of dt * (x conv t*exp(-wc*t))
+    followed by the centered second difference over dt^2, i.e. the transfer
+    (iw)^2/(iw + wc)^2. fc_hz = 0 bypasses the filter entirely. The output
+    is longer than the input by the pad, so the motion settles to zero
+    velocity and displacement. A corner so low that the pad would exceed
+    MAX_KERNEL_SAMPLES is a DataError.
     """
     x3 = np.asarray(x3, dtype=float)
     if not np.all(np.isfinite(x3)):
@@ -397,21 +387,15 @@ def highpass(x3, fc_hz, dt):
         raise ValueError("fc_hz must be >= 0")
     if fc_hz == 0:
         return x3.copy()
-    if fc_hz * dt * MAX_KERNEL_SAMPLES < KERNEL_SPAN:
+    wc_dt = 2 * math.pi * fc_hz * dt
+    if wc_dt * (MAX_KERNEL_SAMPLES - 1) <= TAIL_U:
         raise DataError(f"fc = {fc_hz:g} Hz at dt = {dt:g} s needs a high-pass "
                         f"kernel of more than {MAX_KERNEL_SAMPLES} samples")
 
-    hf = _filter_kernel(fc_hz, dt)
-    pad = np.zeros(x3.shape[:-1] + (hf.size,))
-    xp = np.concatenate([x3, pad], axis=-1)
-    kernel = hf.reshape((1,) * (xp.ndim - 1) + (hf.size,))
-    z = dt * fftconvolve(xp, kernel, mode="full", axes=-1)[..., :xp.shape[-1]]
-
-    d2 = np.empty_like(z)
-    d2[..., 1:-1] = z[..., 2:] - 2 * z[..., 1:-1] + z[..., :-2]
-    d2[..., 0] = z[..., 1] - 2 * z[..., 0]            # virtual z[-1] = 0
-    d2[..., -1] = -2 * z[..., -1] + z[..., -2]        # virtual z[m]  = 0
-    return d2 / dt ** 2
+    pad = np.zeros(x3.shape[:-1] + (math.floor(TAIL_U / wc_dt) + 2,))
+    r = math.exp(-wc_dt)
+    return lfilter([r, -2 * r, r], [1.0, -2 * r, r * r],
+                   np.concatenate([x3, pad], axis=-1), axis=-1)
 
 
 def apply_highpass(batch, fc_hz):

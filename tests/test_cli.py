@@ -365,3 +365,16 @@ def test_run_log_written_on_success(catalog_dir, tmp_path):
     run_log = json.loads((out / "run_log.json").read_text())
     assert run_log["status"] == "ok"
     assert run_log["command"] == "spectrum"
+
+
+@pytest.mark.parametrize("periods,status", [("0.5:2:4", "ok"),
+                                            ("2:0.5:4", "data_error")])
+def test_run_log_timing_and_versions(catalog_dir, tmp_path, periods, status):
+    out = tmp_path / "log"
+    main(["spectrum", "--manifest", str(catalog_dir / "manifest.txt"),
+          "--out", str(out), "--periods", periods])
+    run_log = json.loads((out / "run_log.json").read_text())
+    assert run_log["status"] == status
+    assert isinstance(run_log["elapsed_s"], float) and run_log["elapsed_s"] >= 0
+    assert set(run_log["versions"]) == {"python", "numpy", "scipy", "stochgm"}
+    assert all(isinstance(v, str) and v for v in run_log["versions"].values())

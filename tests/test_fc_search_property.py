@@ -14,7 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 
 # Nonzero grid starts stay at or above 0.01 Hz, the default grid's first
-# nonzero point: the high-pass kernel grows as 1/fc (about 18k samples at
+# nonzero point: the high-pass pad grows as 1/fc (about 18k samples at
 # 0.01 Hz and dt = 0.02 s), so a start near zero would need gigabytes.
 @settings(max_examples=25, deadline=None)
 @given(log_ai=st.floats(np.log(0.3), np.log(0.7)),

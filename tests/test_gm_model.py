@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from stochgm import (GMParams, apply_highpass, gm_model, highpass,
                      simulate_spectral, simulate_temporal, solve_modulator)
@@ -207,7 +208,47 @@ class TestGMParams:
             GMParams(0.0, 5.0, 5.0, 2.0, -0.5, 0.3, 25.0)
 
 
+def fft_highpass(x3, fc_hz, dt):
+    """Reference for x3 of shape (n, m): the sampled kernel t*exp(-wc*t),
+    truncated where it falls below 1e-8 of its peak, convolved through an
+    FFT, then the centered second difference over dt^2 with z = 0 on both
+    sides of the record."""
+    wc = 2 * math.pi * fc_hz
+    th = np.arange(math.ceil(3.6 / (fc_hz * dt)) + 2) * dt
+    hf = th * np.exp(-wc * th)
+    hf = hf[:np.nonzero(hf >= 1e-8 * (math.exp(-1) / wc))[0][-1] + 2]
+    xp = np.concatenate([x3, np.zeros(x3.shape[:-1] + (hf.size,))], axis=-1)
+    z = dt * fftconvolve(xp, hf[None, :], axes=-1)[..., :xp.shape[-1]]
+    z = np.pad(z, [(0, 0), (1, 1)])
+    return (z[..., 2:] - 2 * z[..., 1:-1] + z[..., :-2]) / dt ** 2
+
+
 class TestHighpass:
+    # simulated motions, which start and end near zero as the high-pass
+    # input always does: on untapered white noise at 0.01 Hz the reference's
+    # own FFT rounding reaches about 1e-5 of max|out|
+    @pytest.mark.parametrize("fc,dt", [(0.01, 0.005), (0.1, 0.005), (0.5, 0.01),
+                                       (0.01, 0.02), (2.0, 0.02)])
+    def test_matches_fft_convolution(self, base_params, fc, dt):
+        x = simulate_spectral(base_params, dt, 3, seed=4).realizations
+        out, ref = highpass(x, fc, dt), fft_highpass(x, fc, dt)
+        assert out.shape == ref.shape
+        assert np.abs(out - ref).max() <= 1e-5 * np.abs(ref).max()
+
+    def test_matches_extended_precision_sum(self):
+        # the recursion's impulse response r*(1 - z^-1)^2 * sum (k+1) r^k z^-k,
+        # summed directly in long double over the whole padded output
+        fc, dt = 0.01, 0.005
+        x = np.random.default_rng(1).standard_normal(300)
+        out = highpass(x, fc, dt)
+        r = np.exp(-2 * np.pi * np.longdouble(fc) * np.longdouble(dt))
+        k = np.arange(out.size, dtype=np.longdouble)
+        s = (k + 1) * r ** k
+        g = r * (s - 2 * np.concatenate([[0], s[:-1]])
+                 + np.concatenate([[0, 0], s[:-2]]))
+        ref = np.convolve(x.astype(np.longdouble), g)[:out.size]
+        assert float(np.abs(out - ref).max()) <= 1e-10 * float(np.abs(ref).max())
+
     def test_fc_zero_is_identity(self):
         x = np.sin(np.linspace(0, 10, 500))
         np.testing.assert_array_equal(highpass(x, 0.0, 0.01), x)
@@ -252,6 +293,8 @@ class TestHighpass:
         # the default grid's 0.01 Hz point at dt = 0.005 s (~72k samples)
         out = highpass(np.ones(10), 0.01, 0.005)
         assert np.all(np.isfinite(out))
-        # ~1.8e11 samples: refused before anything is allocated
-        with pytest.raises(DataError, match="kernel"):
-            highpass(np.ones(10), 1e-9, 0.02)
+        # ~1.8e11 samples, and a corner whose pad would divide by zero:
+        # refused before anything is allocated
+        for fc in (1e-9, 5e-324):
+            with pytest.raises(DataError, match="kernel"):
+                highpass(np.ones(10), fc, 0.02)
