@@ -46,7 +46,6 @@ class AccelerogramRecord:
     dt: float
     accel: np.ndarray
     unit: str = "g"
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         accel = np.asarray(self.accel, dtype=float)
@@ -132,8 +131,7 @@ def parse_at2(raw_text):
 
     title = lines[0].strip()
     rec_id = title if title else "record"
-    return AccelerogramRecord(id=rec_id, dt=dt, accel=accel, unit="g",
-                              meta={"header": lines[:4]})
+    return AccelerogramRecord(id=rec_id, dt=dt, accel=accel, unit="g")
 
 
 def write_at2(record, title=None):

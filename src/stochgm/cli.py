@@ -24,7 +24,8 @@ import scipy
 from . import __version__, catalog_stats, fc_opt, param_dist, sensitivity, svgplot
 from .catalog_io import load_catalog, write_at2
 from .errors import DataError, NumericalError
-from .gm_model import G_ACCEL, GMParams, apply_highpass, n_samples, simulate
+from .gm_model import (G_ACCEL, GMParams, apply_highpass, highpass_pad,
+                       n_samples, simulate)
 from .resp_spectrum import compute_sa, standard_period_grid
 
 log = logging.getLogger("stochgm")
@@ -32,8 +33,10 @@ log = logging.getLogger("stochgm")
 # fixed default seed: reproducibility is the product, not entropy
 DEFAULT_SEED = 20240715
 CORR_PANEL_T2 = (0.1, 0.5, 1.0, 4.0)
-# realizations x samples of one record's simulation (--n or --mc): 128 MiB
-# per float64 (n, m) array; the engines hold about five such arrays
+# realizations x padded samples of one record's simulation (--n or --mc):
+# 128 MiB per float64 array; the engines hold about five (n, m) arrays and
+# the high-pass two (n, m + pad). Its square root caps the --periods COUNT,
+# which sets the side of the COUNT x COUNT correlation matrices
 MAX_SIM_ELEMENTS = 2 ** 24
 
 
@@ -58,10 +61,11 @@ def _check_args(args):
             raise DataError(f"--{flag} must be at least {least}, got {value}")
     if hasattr(args, "periods"):
         lo, hi, count = args.periods
+        most = math.isqrt(MAX_SIM_ELEMENTS)
         if not (0 < lo < hi < math.inf and count.is_integer()
-                and 2 <= count <= fc_opt.MAX_GRID_POINTS):
+                and 2 <= count <= most):
             raise DataError("--periods LO:HI:COUNT needs 0 < LO < HI < inf and "
-                            f"a whole COUNT in [2, {fc_opt.MAX_GRID_POINTS}], "
+                            f"a whole COUNT in [2, {most}], "
                             f"got {lo:g}:{hi:g}:{count:g}")
         args.periods = standard_period_grid(n=int(count), lo=lo, hi=hi)
     if hasattr(args, "fc_grid"):
@@ -94,8 +98,9 @@ def entry_params(entry, record, fc_default=None):
 def _load(manifest, params=False, fc_default=None, draws=None):
     """The non-empty catalog at `manifest` and, with params, each record's
     GMParams by id (entries and records pair by position: load_catalog
-    builds both in manifest order). With draws = (flag, n), n realizations
-    of each record's simulation must fit in MAX_SIM_ELEMENTS."""
+    builds both in manifest order). With draws = (flag, n, fc), n
+    realizations of each record's simulation, padded for a high-pass at
+    fc (the entry's fc_hz when fc is None), must fit in MAX_SIM_ELEMENTS."""
     catalog = load_catalog(manifest)
     if len(catalog) == 0:
         raise DataError(f"catalog from {manifest} is empty")
@@ -108,8 +113,12 @@ def _load(manifest, params=False, fc_default=None, draws=None):
         except ValueError as exc:
             raise DataError(f"entry {entry.id}: {exc}") from exc
         if draws:
-            flag, n = draws
-            m = n_samples(p, rec.dt)
+            flag, n, fc = draws
+            try:
+                m = n_samples(p, rec.dt) + highpass_pad(
+                    p.fc_hz if fc is None else fc, rec.dt)
+            except DataError as exc:
+                raise DataError(f"entry {entry.id}: {exc}") from exc
             if n * m > MAX_SIM_ELEMENTS:
                 raise DataError(f"entry {entry.id}: {flag} {n} realizations x {m} "
                                 f"samples exceeds {MAX_SIM_ELEMENTS} elements")
@@ -185,7 +194,7 @@ def cmd_convert(args):
 
 def cmd_simulate(args):
     catalog, params = _load(args.manifest, params=True, fc_default=0.0,
-                            draws=("--n", args.n))
+                            draws=("--n", args.n, None))
 
     def one(rec):
         p = params[rec.id]
@@ -222,7 +231,10 @@ def cmd_spectrum(args):
 
 
 def cmd_fit_fc(args):
-    catalog, params = _load(args.manifest, params=True, draws=("--mc", args.mc))
+    grid = args.fc_search.grid
+    lowest = float(grid[grid > 0][0]) if grid[-1] > 0 else 0.0
+    catalog, params = _load(args.manifest, params=True,
+                            draws=("--mc", args.mc, lowest))
 
     def one(rec):
         return fc_opt.optimize_fc(rec, params[rec.id].with_fc(None),
@@ -269,7 +281,7 @@ def cmd_stats(args):
     for key, label in (("q05", "5% quantile"), ("q50", "median"),
                        ("q95", "95% quantile"), ("std", "std")):
         chart = svgplot.LineChart(title=f"log Sa {label}", xlabel="T (s)",
-                                  ylabel="log Sa", logx=True)
+                                  ylabel="log Sa")
         for tag, st in stats.items():
             chart.add_line(periods, st[key], label=tag, dashed=tag != "recorded")
         charts.append(chart)
@@ -281,7 +293,7 @@ def cmd_stats(args):
     for t2 in CORR_PANEL_T2:
         j2 = int(np.argmin(np.abs(periods - t2)))
         chart = svgplot.LineChart(title=f"rho(T1, T2={t2:g}s)", xlabel="T1 (s)",
-                                  ylabel="correlation", logx=True)
+                                  ylabel="correlation")
         for tag, st in stats.items():
             chart.add_line(periods, st["rho"][:, j2], label=tag,
                            dashed=tag != "recorded")
@@ -307,7 +319,7 @@ def cmd_sensitivity(args):
 
     wc = sensitivity.weighted_coefficients(bundle)
     _write_csv(os.path.join(args.out, "weighted_coefficients.csv"),
-               ["T_s"] + list(bundle.labels),
+               ["T_s"] + list(sensitivity.PARAM_LABELS),
                [[f"{t:.6g}"] + [f"{wc[i, j]:.8g}" for i in range(wc.shape[0])]
                 for j, t in enumerate(periods)])
 
@@ -335,7 +347,7 @@ def cmd_sensitivity(args):
                ["T1_s", "T2_s", "pct_term1", "pct_term2", "pct_term3", "pct_term4"],
                rows)
 
-    chart = svgplot.LineChart(title="R^2", xlabel="T (s)", ylabel="R^2", logx=True)
+    chart = svgplot.LineChart(title="R^2", xlabel="T (s)", ylabel="R^2")
     chart.add_line(periods, r2, label="full")
     with open(os.path.join(args.out, "r2.svg"), "w") as fh:
         fh.write(chart.render())
@@ -364,16 +376,20 @@ def cmd_sample_params(args):
 # entry point
 # ---------------------------------------------------------------------------
 
-# subcommand -> (handler, help, flags besides --manifest/--out/--seed/--jobs)
+# subcommand -> (handler, help, flags besides --manifest/--out)
 SUBCOMMANDS = {
     "convert": (cmd_convert, "re-emit records as AT2 + CSV", ()),
-    "simulate": (cmd_simulate, "simulate realization batches", ("engine", "n")),
+    "simulate": (cmd_simulate, "simulate realization batches",
+                 ("seed", "engine", "n")),
     "spectrum": (cmd_spectrum, "response spectra of records", ("periods",)),
-    "fit-fc": (cmd_fit_fc, "optimize fc per record", ("engine", "mc", "fc_grid")),
-    "stats": (cmd_stats, "catalog spectral statistics", ("periods", "compare")),
+    "fit-fc": (cmd_fit_fc, "optimize fc per record",
+               ("seed", "jobs", "engine", "mc", "fc_grid")),
+    "stats": (cmd_stats, "catalog spectral statistics",
+              ("jobs", "periods", "compare")),
     "sensitivity": (cmd_sensitivity, "regression sensitivity analysis",
-                    ("periods",)),
-    "sample-params": (cmd_sample_params, "fit joint model and sample", ("n",)),
+                    ("jobs", "periods")),
+    "sample-params": (cmd_sample_params, "fit joint model and sample",
+                      ("seed", "n")),
 }
 
 
@@ -388,8 +404,10 @@ def build_parser():
         sp.set_defaults(func=func)
         sp.add_argument("--manifest", required=True, help="catalog manifest file")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        sp.add_argument("--jobs", type=int, default=1, help="worker pool size")
+        if "seed" in flags:
+            sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        if "jobs" in flags:
+            sp.add_argument("--jobs", type=int, default=1, help="worker pool size")
         if "engine" in flags:
             sp.add_argument("--engine", choices=("temporal", "spectral"),
                             default="spectral")

@@ -77,7 +77,3 @@ class OutOfSupport(DataError):
 
 class DegenerateSample(DataError):
     """Sample has zero variance; no distribution can be fitted."""
-
-
-class ExcessiveRejection(NumericalError):
-    """More than half of the candidate parameter draws were rejected."""

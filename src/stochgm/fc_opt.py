@@ -27,7 +27,7 @@ reference the bracketed search is tested against.
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,6 +38,8 @@ from .resp_spectrum import batch_sa_matrix, compute_sa
 log = logging.getLogger(__name__)
 
 MAX_GRID_POINTS = 10 ** 5
+# the matching criterion's periods: 30 log-spaced in [1, 10] s
+MATCH_PERIODS = np.logspace(0.0, 1.0, 30)
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,6 @@ class FcSearchConfig:
     grid_hi: float = 2.0
     step: float = 0.01
     n_mc: int = 100
-    n_match_points: int = 30
-    match_band: tuple = (1.0, 10.0)
     seed: int = 0
     bracket: bool = False
 
@@ -60,18 +60,11 @@ class FcSearchConfig:
             raise ValueError(f"grid has more than {MAX_GRID_POINTS} points")
         if self.n_mc < 2:
             raise ValueError("n_mc must be >= 2")
-        if not 0 < self.match_band[0] < self.match_band[1]:
-            raise ValueError("match_band must be an increasing positive pair")
 
     @property
     def grid(self):
         n = int(round((self.grid_hi - self.grid_lo) / self.step)) + 1
         return np.round(self.grid_lo + self.step * np.arange(n), 12)
-
-    @property
-    def match_periods(self):
-        lo, hi = self.match_band
-        return np.logspace(math.log10(lo), math.log10(hi), self.n_match_points)
 
 
 @dataclass(frozen=True)
@@ -81,7 +74,6 @@ class FcResult:
     fc_star: float
     fc_grid: np.ndarray
     epsilon_curve: np.ndarray
-    match_periods: np.ndarray = field(default=None)
     fallback: bool = True
 
     @property
@@ -129,14 +121,12 @@ def _bisect(bias, n):
     return True
 
 
-def optimize_fc(record, params_no_fc, config=FcSearchConfig(), engine="spectral",
-                damping=0.05):
+def optimize_fc(record, params_no_fc, config=FcSearchConfig(), engine="spectral"):
     """Minimize epsilon(fc) over the grid with common random numbers and
     return the argmin over the evaluated candidates (ties break to the
     smallest fc). See the module docstring for config.bracket."""
     record = record.to_si()
-    periods = config.match_periods
-    real_spec = compute_sa(record.accel, record.dt, periods, damping)
+    real_spec = compute_sa(record.accel, record.dt, MATCH_PERIODS)
     real_log_sa = np.log(real_spec.sa)
 
     batch = simulate(params_no_fc, record.dt, config.n_mc, config.seed, engine)
@@ -148,7 +138,7 @@ def optimize_fc(record, params_no_fc, config=FcSearchConfig(), engine="spectral"
     def bias(i):
         if i not in signed:
             filtered = highpass(x3, grid[i], record.dt)
-            sim_log_sa = np.log(batch_sa_matrix(filtered, record.dt, periods, damping))
+            sim_log_sa = np.log(batch_sa_matrix(filtered, record.dt, MATCH_PERIODS))
             signed[i] = epsilon(real_log_sa, sim_log_sa, signed=True)
             log.debug("fc=%.3f Hz -> S=%.4f", grid[i], signed[i])
         return signed[i]
@@ -162,4 +152,4 @@ def optimize_fc(record, params_no_fc, config=FcSearchConfig(), engine="spectral"
     curve = np.abs([signed[i] for i in idx])
     fc_star = float(grid[idx[int(np.argmin(curve))]])  # argmin takes the first tie
     return FcResult(fc_star=fc_star, fc_grid=grid[idx], epsilon_curve=curve,
-                    match_periods=periods, fallback=fallback)
+                    fallback=fallback)

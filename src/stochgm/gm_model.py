@@ -115,10 +115,6 @@ class SimBatch:
     sigma_floor_hits: int = 0
 
     @property
-    def n(self):
-        return self.realizations.shape[0]
-
-    @property
     def times(self):
         return np.arange(self.realizations.shape[1]) * self.dt
 
@@ -368,17 +364,34 @@ TAIL_U = 22.5357852450643
 MAX_KERNEL_SAMPLES = 2 ** 20
 
 
+def highpass_pad(fc_hz, dt):
+    """Zero samples highpass appends at corner fc_hz (Hz) and step dt (s):
+    floor(TAIL_U / (wc*dt)) + 2, or 0 for fc_hz = 0. A corner at or above
+    the Nyquist frequency 1/(2*dt), or so low that the pad would exceed
+    MAX_KERNEL_SAMPLES, is a DataError."""
+    if fc_hz == 0:
+        return 0
+    if fc_hz >= 0.5 / dt:
+        raise DataError(f"fc = {fc_hz:g} Hz is at or above the Nyquist frequency "
+                        f"{0.5 / dt:g} Hz at dt = {dt:g} s")
+    wc_dt = 2 * math.pi * fc_hz * dt
+    if wc_dt * (MAX_KERNEL_SAMPLES - 1) <= TAIL_U:
+        raise DataError(f"fc = {fc_hz:g} Hz at dt = {dt:g} s needs a high-pass "
+                        f"kernel of more than {MAX_KERNEL_SAMPLES} samples")
+    return math.floor(TAIL_U / wc_dt) + 2
+
+
 def highpass(x3, fc_hz, dt):
     """Apply the critically damped high-pass filter along the last axis.
 
-    The input is zero-padded by floor(TAIL_U / (wc*dt)) + 2 samples and run
+    The input is zero-padded by highpass_pad(fc_hz, dt) samples and run
     through the two-pole recursion r*(1 - z^-1)^2 / (1 - r*z^-1)^2 with
     r = exp(-wc*dt): the exact z-transform of dt * (x conv t*exp(-wc*t))
     followed by the centered second difference over dt^2, i.e. the transfer
     (iw)^2/(iw + wc)^2. fc_hz = 0 bypasses the filter entirely. The output
     is longer than the input by the pad, so the motion settles to zero
-    velocity and displacement. A corner so low that the pad would exceed
-    MAX_KERNEL_SAMPLES is a DataError.
+    velocity and displacement. A corner that highpass_pad refuses is a
+    DataError.
     """
     x3 = np.asarray(x3, dtype=float)
     if not np.all(np.isfinite(x3)):
@@ -387,13 +400,8 @@ def highpass(x3, fc_hz, dt):
         raise ValueError("fc_hz must be >= 0")
     if fc_hz == 0:
         return x3.copy()
-    wc_dt = 2 * math.pi * fc_hz * dt
-    if wc_dt * (MAX_KERNEL_SAMPLES - 1) <= TAIL_U:
-        raise DataError(f"fc = {fc_hz:g} Hz at dt = {dt:g} s needs a high-pass "
-                        f"kernel of more than {MAX_KERNEL_SAMPLES} samples")
-
-    pad = np.zeros(x3.shape[:-1] + (math.floor(TAIL_U / wc_dt) + 2,))
-    r = math.exp(-wc_dt)
+    pad = np.zeros(x3.shape[:-1] + (highpass_pad(fc_hz, dt),))
+    r = math.exp(-2 * math.pi * fc_hz * dt)
     return lfilter([r, -2 * r, r], [1.0, -2 * r, r * r],
                    np.concatenate([x3, pad], axis=-1), axis=-1)
 

@@ -8,12 +8,12 @@ before fitting.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
 
-from .errors import DegenerateSample, ExcessiveRejection, OutOfSupport
+from .errors import DegenerateSample, OutOfSupport
 
 log = logging.getLogger(__name__)
 
@@ -33,8 +33,6 @@ class MarginalModel:
         lo, hi = self.support
         if self.family == "normal":
             return stats.norm(*self.params)
-        if self.family == "lognormal":
-            return stats.lognorm(self.params[0], scale=np.exp(self.params[1]))
         if self.family == "exponential":
             return stats.expon(scale=1.0 / self.params[0])
         if self.family == "gamma":
@@ -48,9 +46,6 @@ class MarginalModel:
 
     def ppf(self, u):
         return self._dist().ppf(u)
-
-    def mean(self):
-        return float(self._dist().mean())
 
 
 @dataclass(frozen=True)
@@ -85,12 +80,6 @@ def fit_marginal(samples, family):
     if family == "normal":
         return MarginalModel("normal", (float(x.mean()), float(x.std())),
                              (-np.inf, np.inf))
-    if family == "lognormal":
-        if np.any(x <= 0):
-            raise OutOfSupport("lognormal requires positive samples")
-        lx = np.log(x)
-        return MarginalModel("lognormal", (float(lx.std()), float(lx.mean())),
-                             (0.0, np.inf))
     if family == "exponential":
         if np.any(x < 0):
             raise OutOfSupport("exponential requires nonnegative samples")
@@ -134,12 +123,8 @@ def fit_copula(theta_matrix, marginals):
     return corr
 
 
-def sample_params(model, n, seed, row_valid=None, max_tries=100):
-    """Draw n correlated parameter rows through the Gaussian copula.
-
-    Rows failing the optional validity predicate are rejected and redrawn;
-    more than 50% rejection overall raises ExcessiveRejection.
-    """
+def sample_params(model, n, seed):
+    """Draw n correlated parameter rows through the Gaussian copula."""
     p = len(model.marginals)
     try:
         chol = np.linalg.cholesky(model.correlation)
@@ -147,31 +132,9 @@ def sample_params(model, n, seed, row_valid=None, max_tries=100):
         vals, vecs = np.linalg.eigh(model.correlation)
         chol = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-
-    rows = []
-    drawn = kept = 0
-    while len(rows) < n and max_tries > 0:
-        want = n - len(rows)
-        z = gen.standard_normal((want, p)) @ chol.T
-        u = np.clip(stats.norm.cdf(z), 1e-15, 1 - 1e-15)
-        x = np.column_stack([m.ppf(u[:, j]) for j, m in enumerate(model.marginals)])
-        valid = np.ones(want, dtype=bool)
-        if row_valid is not None:
-            valid = np.array([bool(row_valid(row)) for row in x])
-        drawn += want
-        kept += int(valid.sum())
-        rows.extend(x[valid])
-        max_tries -= 1
-        if drawn >= 2 * n and kept < drawn / 2:
-            raise ExcessiveRejection(
-                f"rejected {drawn - kept}/{drawn} candidate parameter rows")
-    if len(rows) < n:
-        raise ExcessiveRejection("could not draw enough valid parameter rows")
-    out = np.asarray(rows[:n])
-    n_rejected = drawn - kept
-    if n_rejected:
-        log.info("sample_params: %d of %d draws rejected", n_rejected, drawn)
-    return out
+    z = gen.standard_normal((n, p)) @ chol.T
+    u = np.clip(stats.norm.cdf(z), 1e-15, 1 - 1e-15)
+    return np.column_stack([m.ppf(u[:, j]) for j, m in enumerate(model.marginals)])
 
 
 def save_joint_model(model, path):

@@ -30,12 +30,11 @@ class DesignMatrix:
     """n_records x 7 input matrix, columns ordered as PARAM_LABELS."""
 
     theta: np.ndarray
-    labels: tuple = PARAM_LABELS
 
     def __post_init__(self):
         theta = np.asarray(self.theta, dtype=float)
-        if theta.ndim != 2 or theta.shape[1] != len(self.labels):
-            raise ValueError(f"theta must be (n, {len(self.labels)})")
+        if theta.ndim != 2 or theta.shape[1] != len(PARAM_LABELS):
+            raise ValueError(f"theta must be (n, {len(PARAM_LABELS)})")
         if theta.shape[0] <= theta.shape[1] + 1:
             raise ValueError(f"need more records ({theta.shape[0]}) than "
                              f"coefficients incl. intercept ({theta.shape[1] + 1})")
@@ -68,7 +67,6 @@ class RegressionBundle:
     var_eps: np.ndarray          # (nT,)
     cov_eps: np.ndarray          # (nT, nT)
     cov_theta_eps: np.ndarray    # (p, nT)
-    labels: tuple = PARAM_LABELS
 
     def period_index(self, period):
         j = int(np.argmin(np.abs(self.periods - period)))
@@ -113,8 +111,7 @@ def fit_bundle(dm, log_sa, periods):
         var_y=log_sa.var(axis=0),
         var_eps=resid.var(axis=0),
         cov_eps=resid_c.T @ resid_c / n,
-        cov_theta_eps=theta_c.T @ resid_c / n,
-        labels=dm.labels)
+        cov_theta_eps=theta_c.T @ resid_c / n)
 
 
 def variance_decompose(bundle, period, sigma_tt=None):

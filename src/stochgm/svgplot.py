@@ -7,13 +7,16 @@ be eyeballed in a browser on a headless box.
 import math
 
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b")
+WIDTH, HEIGHT = 640, 420
 
 
-def _ticks(lo, hi, logscale):
-    if logscale:
-        lo_e = math.floor(math.log10(lo))
-        hi_e = math.ceil(math.log10(hi))
-        return [10.0 ** e for e in range(lo_e, hi_e + 1) if lo <= 10.0 ** e <= hi]
+def _log_ticks(lo, hi):
+    lo_e = math.floor(math.log10(lo))
+    hi_e = math.ceil(math.log10(hi))
+    return [10.0 ** e for e in range(lo_e, hi_e + 1) if lo <= 10.0 ** e <= hi]
+
+
+def _linear_ticks(lo, hi):
     span = hi - lo
     step = 10 ** math.floor(math.log10(span / 4)) if span > 0 else 1.0
     for mult in (5, 2, 1):
@@ -29,13 +32,11 @@ def _ticks(lo, hi, logscale):
 
 
 class LineChart:
-    """One panel: add_line() then render() to an SVG string."""
+    """One WIDTH x HEIGHT panel with a log x axis and a linear y axis:
+    add_line() then render() to an SVG string."""
 
-    def __init__(self, title="", xlabel="", ylabel="", logx=False, logy=False,
-                 width=640, height=420):
+    def __init__(self, title="", xlabel="", ylabel=""):
         self.title, self.xlabel, self.ylabel = title, xlabel, ylabel
-        self.logx, self.logy = logx, logy
-        self.width, self.height = width, height
         self.lines = []
 
     def add_line(self, x, y, label="", dashed=False):
@@ -45,56 +46,48 @@ class LineChart:
 
     def _range(self, axis):
         vals = [p[axis] for pts, _, _ in self.lines for p in pts]
-        logscale = self.logx if axis == 0 else self.logy
-        if logscale:
+        if axis == 0:  # log x: positive values only, no margin
             vals = [v for v in vals if v > 0]
         lo, hi = min(vals), max(vals)
         if lo == hi:
             lo, hi = lo - 0.5, hi + 0.5
-        if not logscale:
+        if axis == 1:
             margin = 0.05 * (hi - lo)
             lo, hi = lo - margin, hi + margin
         return lo, hi
 
     def render(self):
         ml, mr, mt, mb = 70, 20, 30, 50
-        pw, ph = self.width - ml - mr, self.height - mt - mb
+        pw, ph = WIDTH - ml - mr, HEIGHT - mt - mb
         xlo, xhi = self._range(0)
         ylo, yhi = self._range(1)
 
         def sx(v):
-            if self.logx:
-                return ml + pw * (math.log10(v) - math.log10(xlo)) / \
-                    (math.log10(xhi) - math.log10(xlo))
-            return ml + pw * (v - xlo) / (xhi - xlo)
+            return ml + pw * (math.log10(v) - math.log10(xlo)) / \
+                (math.log10(xhi) - math.log10(xlo))
 
         def sy(v):
-            if self.logy:
-                frac = (math.log10(v) - math.log10(ylo)) / \
-                    (math.log10(yhi) - math.log10(ylo))
-            else:
-                frac = (v - ylo) / (yhi - ylo)
-            return mt + ph * (1 - frac)
+            return mt + ph * (1 - (v - ylo) / (yhi - ylo))
 
         parts = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width}" '
-            f'height="{self.height}" font-family="sans-serif" font-size="12">',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+            f'height="{HEIGHT}" font-family="sans-serif" font-size="12">',
             f'<rect x="{ml}" y="{mt}" width="{pw}" height="{ph}" '
             'fill="white" stroke="black"/>',
             f'<text x="{ml + pw / 2}" y="18" text-anchor="middle" '
             f'font-size="14">{self.title}</text>',
-            f'<text x="{ml + pw / 2}" y="{self.height - 10}" '
+            f'<text x="{ml + pw / 2}" y="{HEIGHT - 10}" '
             f'text-anchor="middle">{self.xlabel}</text>',
             f'<text x="16" y="{mt + ph / 2}" text-anchor="middle" '
             f'transform="rotate(-90 16 {mt + ph / 2})">{self.ylabel}</text>',
         ]
-        for tv in _ticks(xlo, xhi, self.logx):
+        for tv in _log_ticks(xlo, xhi):
             x = sx(tv)
             parts.append(f'<line x1="{x:.1f}" y1="{mt + ph}" x2="{x:.1f}" '
                          f'y2="{mt + ph + 4}" stroke="black"/>')
             parts.append(f'<text x="{x:.1f}" y="{mt + ph + 17}" '
                          f'text-anchor="middle">{tv:g}</text>')
-        for tv in _ticks(ylo, yhi, self.logy):
+        for tv in _linear_ticks(ylo, yhi):
             y = sy(tv)
             parts.append(f'<line x1="{ml - 4}" y1="{y:.1f}" x2="{ml}" '
                          f'y2="{y:.1f}" stroke="black"/>')
@@ -103,8 +96,7 @@ class LineChart:
         for i, (pts, label, dashed) in enumerate(self.lines):
             color = _COLORS[i % len(_COLORS)]
             path = " ".join(f"{sx(px):.1f},{sy(py):.1f}" for px, py in pts
-                            if (not self.logx or px > 0)
-                            and (not self.logy or py > 0))
+                            if px > 0)
             dash = ' stroke-dasharray="6,4"' if dashed else ""
             parts.append(f'<polyline points="{path}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"{dash}/>')
@@ -122,12 +114,11 @@ def panel_grid(charts, ncols=2):
     """Stack rendered charts into one SVG document."""
     if not charts:
         return '<svg xmlns="http://www.w3.org/2000/svg"/>'
-    w, h = charts[0].width, charts[0].height
     nrows = (len(charts) + ncols - 1) // ncols
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{ncols * w}" '
-             f'height="{nrows * h}">']
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{ncols * WIDTH}" '
+             f'height="{nrows * HEIGHT}">']
     for i, chart in enumerate(charts):
-        x, y = (i % ncols) * w, (i // ncols) * h
+        x, y = (i % ncols) * WIDTH, (i // ncols) * HEIGHT
         inner = chart.render()
         inner = inner[inner.index(">") + 1:]  # strip outer <svg ...>
         inner = inner.rsplit("</svg>", 1)[0]

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from stochgm import GMParams, simulate_spectral, write_at2
-from stochgm.catalog_io import AccelerogramRecord
+from stochgm.catalog_io import AccelerogramRecord, parse_manifest
 from stochgm import cli
 from stochgm.cli import main
-from stochgm.gm_model import apply_highpass
+from stochgm.gm_model import apply_highpass, highpass_pad
 
 
 def synth_record(rec_id, log_ai, d595, t_mid, omega_mid, omega_rate, zeta_f,
@@ -90,6 +90,23 @@ def test_missing_manifest(tmp_path, capsys):
 
 def test_usage_error():
     assert main(["simulate"]) == 1
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("stats", "--seed=1"),
+    ("simulate", "--jobs=2"),
+    ("convert", "--seed=1"),
+    ("spectrum", "--jobs=2"),
+    ("sensitivity", "--seed=1"),
+    ("sample-params", "--jobs=2"),
+])
+def test_flag_on_subcommand_that_ignores_it_is_usage_error(tmp_path, capsys,
+                                                           command, flag):
+    # --seed is read only by simulate, fit-fc and sample-params; --jobs only
+    # by fit-fc, stats and sensitivity
+    assert main([command, "--manifest", "m.txt", "--out", str(tmp_path),
+                 flag]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_convert(catalog_dir, tmp_path):
@@ -257,6 +274,7 @@ def test_bad_manifest_entry_is_data_error(catalog_dir, tmp_path, capsys,
     ("stats", "0.05:10:1"),
     ("spectrum", "0.05:10:1e9"),     # an 8 GB period grid
     ("stats", "0.05:10:100001"),
+    ("sensitivity", "0.05:10:4097"),  # 4097 x 4097 matrices: over the cap
 ])
 def test_bad_periods_is_data_error(catalog_dir, tmp_path, capsys, command,
                                    periods):
@@ -285,12 +303,67 @@ def test_draws_over_cap_is_data_error(catalog_dir, tmp_path, capsys, command,
 
 
 def test_draws_cap_boundary(catalog_dir, tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_SIM_ELEMENTS", 3 * 1251)
+    # the cap counts the samples the high-pass pads on at the entry's fc_hz
     manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", keep=1)
+    [entry] = parse_manifest((tmp_path / "m.txt").read_text())
+    m = 1251 + highpass_pad(entry.params["fc_hz"], 0.02)
+    monkeypatch.setattr(cli, "MAX_SIM_ELEMENTS", 3 * m)
     assert main(["simulate", "--manifest", manifest, "--n", "3",
                  "--out", str(tmp_path / "ok")]) == 0
     assert_data_error(["simulate", "--manifest", manifest, "--n", "4"],
-                      tmp_path / "o", "entry rec00: --n 4", capsys)
+                      tmp_path / "o", f"entry rec00: --n 4 realizations x {m}",
+                      capsys)
+
+
+def test_mc_cap_counts_pad_at_lowest_grid_corner(catalog_dir, tmp_path, capsys,
+                                                 monkeypatch):
+    # fit-fc pads for the grid's smallest nonzero corner, 0.05 Hz here
+    manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", keep=1)
+    m = 1251 + highpass_pad(0.05, 0.02)
+    monkeypatch.setattr(cli, "MAX_SIM_ELEMENTS", 2 * m)
+    flags = ["--manifest", manifest, "--fc-grid", "0:0.95:0.05"]
+    assert main(["fit-fc", "--mc", "2", "--out", str(tmp_path / "ok")]
+                + flags) == 0
+    assert_data_error(["fit-fc", "--mc", "3"] + flags, tmp_path / "o",
+                      f"entry rec00: --mc 3 realizations x {m}", capsys)
+
+
+def test_periods_cap_boundary(catalog_dir, tmp_path, capsys, monkeypatch):
+    # COUNT x COUNT matrices: COUNT is capped at isqrt(MAX_SIM_ELEMENTS)
+    monkeypatch.setattr(cli, "MAX_SIM_ELEMENTS", 24)
+    manifest = str(catalog_dir / "manifest.txt")
+    assert main(["stats", "--manifest", manifest, "--periods", "0.5:2:4",
+                 "--out", str(tmp_path / "ok")]) == 0
+    assert_data_error(["stats", "--manifest", manifest, "--periods", "0.5:2:5"],
+                      tmp_path / "o", "COUNT in [2, 4]", capsys)
+
+
+@pytest.mark.parametrize("command,flags,edits,named", [
+    ("fit-fc", ["--fc-grid", "900:1000:100", "--mc", "5"], {}, "entry rec00"),
+    ("simulate", ["--n", "2"], {"fc_hz": "30"}, "entry rec03"),
+])
+def test_corner_at_or_above_nyquist_is_data_error(catalog_dir, tmp_path, capsys,
+                                                  command, flags, edits, named):
+    # dt = 0.02 s: the Nyquist frequency is 25 Hz
+    manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", edits)
+    assert_data_error([command, "--manifest", manifest] + flags, tmp_path / "o",
+                      named, capsys)
+    error = json.loads((tmp_path / "o" / "run_log.json").read_text())["error"]
+    assert "Nyquist" in error
+
+
+def test_fit_fc_independent_of_jobs(catalog_dir, tmp_path):
+    manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", keep=4)
+    outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+    for jobs, out in zip((1, 2), outs):
+        assert main(["fit-fc", "--manifest", manifest, "--out", str(out),
+                     "--fc-grid", "0.05:0.95:0.1", "--mc", "10",
+                     "--jobs", str(jobs)]) == 0
+    names = sorted(p.name for p in outs[0].glob("*.csv"))
+    assert names == sorted(p.name for p in outs[1].glob("*.csv"))
+    assert "fc_table.csv" in names and len(names) == 5
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 @pytest.mark.parametrize("body", [
@@ -365,6 +438,7 @@ def test_run_log_written_on_success(catalog_dir, tmp_path):
     run_log = json.loads((out / "run_log.json").read_text())
     assert run_log["status"] == "ok"
     assert run_log["command"] == "spectrum"
+    assert run_log["seed"] is None  # spectrum reads no seed
 
 
 @pytest.mark.parametrize("periods,status", [("0.5:2:4", "ok"),

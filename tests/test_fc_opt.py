@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stochgm import FcSearchConfig, epsilon, optimize_fc, simulate_spectral
+from stochgm import FcSearchConfig, epsilon, fc_opt, optimize_fc, simulate_spectral
 from stochgm.catalog_io import AccelerogramRecord
 from stochgm.errors import ZeroSpread
 from stochgm.gm_model import apply_highpass
@@ -94,7 +94,7 @@ class TestConfig:
         assert grid.size == 201
 
     def test_match_points(self):
-        pts = FcSearchConfig().match_periods
+        pts = fc_opt.MATCH_PERIODS
         assert pts.size == 30
         assert pts[0] == pytest.approx(1.0) and pts[-1] == pytest.approx(10.0)
 

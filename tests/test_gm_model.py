@@ -298,3 +298,11 @@ class TestHighpass:
         for fc in (1e-9, 5e-324):
             with pytest.raises(DataError, match="kernel"):
                 highpass(np.ones(10), fc, 0.02)
+
+    def test_corner_below_nyquist(self):
+        # Nyquist is 25 Hz at dt = 0.02 s; the pad is the extra output length
+        out = highpass(np.ones(10), 24.9, 0.02)
+        assert out.shape == (10 + gm_model.highpass_pad(24.9, 0.02),)
+        for fc in (25.0, 900.0):
+            with pytest.raises(DataError, match="Nyquist"):
+                highpass(np.ones(10), fc, 0.02)

@@ -4,7 +4,7 @@ from scipy import stats
 
 from stochgm import (JointParamModel, MarginalModel, fit_copula, fit_marginal,
                      sample_params)
-from stochgm.errors import DegenerateSample, ExcessiveRejection, OutOfSupport
+from stochgm.errors import DegenerateSample, OutOfSupport
 from stochgm.param_dist import load_joint_model, save_joint_model
 
 
@@ -108,11 +108,6 @@ class TestSampleParams:
     def test_supports_respected(self):
         x = sample_params(self._model(0.0), 5000, seed=8)
         assert np.all(x[:, 0] >= 0)
-
-    def test_rejection(self):
-        with pytest.raises(ExcessiveRejection):
-            sample_params(self._model(0.0), 1000, seed=9,
-                          row_valid=lambda row: row[1] > 2.5)
 
     def test_fit_sample_refit_closes(self):
         rng = np.random.default_rng(10)
