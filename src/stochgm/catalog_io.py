@@ -18,8 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (CountMismatch, DataError, MalformedHeader, ManifestError,
-                     NonFiniteSample)
+from .errors import DataError
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +54,7 @@ class AccelerogramRecord:
         if accel.size < 2:
             raise ValueError(f"record {self.id}: need at least 2 samples")
         if not np.all(np.isfinite(accel)):
-            raise NonFiniteSample(f"record {self.id}: non-finite acceleration values")
+            raise DataError(f"record {self.id}: non-finite acceleration values")
 
     @property
     def npts(self):
@@ -113,11 +112,11 @@ def parse_at2(raw_text):
     """
     lines = raw_text.splitlines()
     if len(lines) < 5:
-        raise MalformedHeader("AT2 file has fewer than 5 lines")
+        raise DataError("AT2 file has fewer than 5 lines")
     header = lines[3]
     m = _RE_NPTS_EQ.search(header) or _RE_NPTS_TRAIL.match(header)
     if m is None:
-        raise MalformedHeader(f"cannot locate NPTS/DT in header line: {header!r}")
+        raise DataError(f"cannot locate NPTS/DT in header line: {header!r}")
     npts = int(m.group(1))
     dt = float(m.group(2))
 
@@ -126,7 +125,7 @@ def parse_at2(raw_text):
         for tok in line.split():
             values.append(float(tok))
     if len(values) != npts:
-        raise CountMismatch(f"header declares NPTS={npts} but body has {len(values)} values")
+        raise DataError(f"header declares NPTS={npts} but body has {len(values)} values")
     accel = np.asarray(values, dtype=float)  # AccelerogramRecord rejects NaN/inf
 
     title = lines[0].strip()
@@ -134,13 +133,13 @@ def parse_at2(raw_text):
     return AccelerogramRecord(id=rec_id, dt=dt, accel=accel, unit="g")
 
 
-def write_at2(record, title=None):
+def write_at2(record):
     """Serialize a record (in g) to AT2 text, 7 significant digits, 5/line."""
     rec = record
     if rec.unit != "g":
         rec = replace(rec, accel=rec.accel / G_ACCEL, unit="g")
     out = [
-        title if title is not None else rec.id,
+        rec.id,
         "stochgm export",
         "ACCELERATION TIME SERIES IN UNITS OF G",
         f"NPTS= {rec.npts:6d}, DT= {rec.dt:10.5f}  SEC",
@@ -161,7 +160,7 @@ def parse_manifest(text):
         if not block:
             return
         if "id" not in block or "path" not in block:
-            raise ManifestError(f"manifest entry missing id/path: {block}")
+            raise DataError(f"manifest entry missing id/path: {block}")
         params = {}
         for k in _PARAM_KEYS:
             if k in block:
@@ -170,7 +169,7 @@ def parse_manifest(text):
                     if not np.isfinite(params[k]):
                         raise ValueError("not finite")
                 except ValueError as exc:
-                    raise ManifestError(
+                    raise DataError(
                         f"entry {block['id']}: bad value for {k}: {block[k]!r}") from exc
         entries.append(ManifestEntry(id=block["id"], path=block["path"], params=params))
         block.clear()
@@ -183,7 +182,7 @@ def parse_manifest(text):
         if line.startswith("#"):
             continue
         if "=" not in line:
-            raise ManifestError(f"manifest line is not 'key = value': {line!r}")
+            raise DataError(f"manifest line is not 'key = value': {line!r}")
         key, _, val = line.partition("=")
         block[key.strip()] = val.strip()
     flush()
@@ -191,7 +190,7 @@ def parse_manifest(text):
     ids = [e.id for e in entries]
     if len(set(ids)) != len(ids):
         dup = sorted({i for i in ids if ids.count(i) > 1})
-        raise ManifestError(f"duplicate entry ids in manifest: {dup}")
+        raise DataError(f"duplicate entry ids in manifest: {dup}")
     return entries
 
 
@@ -208,13 +207,12 @@ def load_catalog(manifest_path):
     for entry in entries:
         path = os.path.join(base, entry.path)
         if not os.path.exists(path):
-            raise ManifestError(f"entry {entry.id}: file not found: {path}")
+            raise DataError(f"entry {entry.id}: file not found: {path}")
         try:
             with open(path) as fh:
                 rec = parse_at2(fh.read())
         except (DataError, ValueError) as exc:  # ValueError: bad number, DT or NPTS
-            kind = type(exc) if isinstance(exc, DataError) else DataError
-            raise kind(f"entry {entry.id}: {exc}") from exc
+            raise DataError(f"entry {entry.id}: {exc}") from exc
         rec = replace(rec, id=entry.id)
         records.append(rec.to_si())
     return Catalog(records=tuple(records), entries=tuple(entries))

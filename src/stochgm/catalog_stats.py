@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateRecord, TooFewRecords, ZeroVarianceColumn
+from .errors import DataError
 from .gm_model import energy_targets
 
 
@@ -19,7 +19,6 @@ class SpectraMatrix:
 
     log_sa: np.ndarray  # (n_records, n_periods)
     periods: np.ndarray
-    ids: tuple = ()
 
     def __post_init__(self):
         log_sa = np.asarray(self.log_sa, dtype=float)
@@ -39,7 +38,7 @@ class SpectraMatrix:
 def spectral_quantiles(sm, q):
     """Per-period empirical quantile of log Sa."""
     if sm.n_records < 2:
-        raise TooFewRecords("need at least 2 records for quantiles")
+        raise DataError("need at least 2 records for quantiles")
     if not 0 < q < 1:
         raise ValueError("q must be in (0, 1)")
     return np.quantile(sm.log_sa, q, axis=0, method="median_unbiased")
@@ -48,18 +47,18 @@ def spectral_quantiles(sm, q):
 def spectral_std(sm):
     """Per-period sample standard deviation of log Sa."""
     if sm.n_records < 2:
-        raise TooFewRecords("need at least 2 records for a dispersion statistic")
+        raise DataError("need at least 2 records for a dispersion statistic")
     return sm.log_sa.std(axis=0, ddof=1)
 
 
 def spectral_correlation(sm):
     """Pearson correlation of log Sa between every pair of periods."""
     if sm.n_records < 3:
-        raise TooFewRecords("need at least 3 records for correlations")
+        raise DataError("need at least 3 records for correlations")
     var = sm.log_sa.var(axis=0)
     if np.any(var <= 0):
         bad = sm.periods[np.nonzero(var <= 0)[0]]
-        raise ZeroVarianceColumn(f"zero variance at periods {bad.tolist()}")
+        raise DataError(f"zero variance at periods {bad.tolist()}")
     rho = np.corrcoef(sm.log_sa, rowvar=False)
     rho = (rho + rho.T) / 2
     np.fill_diagonal(rho, 1.0)
@@ -72,6 +71,6 @@ def extract_simple_params(record):
     rec = record.to_si()
     try:
         tg = energy_targets(rec.accel, rec.dt)
-    except DegenerateRecord as exc:
-        raise DegenerateRecord(f"record {rec.id} has {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"record {rec.id} has {exc}") from exc
     return {"log_ai": math.log(tg["ai"]), "d595": tg["d595"], "t_mid": tg["t_mid"]}

@@ -26,7 +26,7 @@ from .catalog_io import load_catalog, write_at2
 from .errors import DataError, NumericalError
 from .gm_model import (G_ACCEL, GMParams, apply_highpass, highpass_pad,
                        n_samples, simulate)
-from .resp_spectrum import compute_sa, standard_period_grid
+from .resp_spectrum import compute_sa, log_sa, standard_period_grid
 
 log = logging.getLogger("stochgm")
 
@@ -98,9 +98,10 @@ def entry_params(entry, record, fc_default=None):
 def _load(manifest, params=False, fc_default=None, draws=None):
     """The non-empty catalog at `manifest` and, with params, each record's
     GMParams by id (entries and records pair by position: load_catalog
-    builds both in manifest order). With draws = (flag, n, fc), n
-    realizations of each record's simulation, padded for a high-pass at
-    fc (the entry's fc_hz when fc is None), must fit in MAX_SIM_ELEMENTS."""
+    builds both in manifest order). With draws = (flag, n, corners), every
+    corner must suit the record's dt (highpass_pad), and n realizations of
+    its simulation, padded for the largest of their high-pass pads, must
+    fit in MAX_SIM_ELEMENTS; corners None means the entry's fc_hz."""
     catalog = load_catalog(manifest)
     if len(catalog) == 0:
         raise DataError(f"catalog from {manifest} is empty")
@@ -113,10 +114,10 @@ def _load(manifest, params=False, fc_default=None, draws=None):
         except ValueError as exc:
             raise DataError(f"entry {entry.id}: {exc}") from exc
         if draws:
-            flag, n, fc = draws
+            flag, n, corners = draws
             try:
-                m = n_samples(p, rec.dt) + highpass_pad(
-                    p.fc_hz if fc is None else fc, rec.dt)
+                m = n_samples(p, rec.dt) + max(
+                    highpass_pad(fc, rec.dt) for fc in corners or (p.fc_hz,))
             except DataError as exc:
                 raise DataError(f"entry {entry.id}: {exc}") from exc
             if n * m > MAX_SIM_ELEMENTS:
@@ -168,11 +169,9 @@ def _write_matrix_csv(path, periods, matrix):
 
 def _catalog_log_sa(catalog, periods, jobs):
     rows = _per_record(
-        lambda rec: np.log(compute_sa(rec.accel, rec.dt, periods).sa),
+        lambda rec: log_sa(compute_sa(rec.accel, rec.dt, periods).sa),
         catalog.records, jobs)
-    return catalog_stats.SpectraMatrix(
-        log_sa=np.vstack(rows), periods=periods,
-        ids=tuple(r.id for r in catalog.records))
+    return catalog_stats.SpectraMatrix(log_sa=np.vstack(rows), periods=periods)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +231,9 @@ def cmd_spectrum(args):
 
 def cmd_fit_fc(args):
     grid = args.fc_search.grid
-    lowest = float(grid[grid > 0][0]) if grid[-1] > 0 else 0.0
+    ends = (float(grid[grid > 0][0]), float(grid[-1])) if grid[-1] > 0 else (0.0,)
     catalog, params = _load(args.manifest, params=True,
-                            draws=("--mc", args.mc, lowest))
+                            draws=("--mc", args.mc, ends))
 
     def one(rec):
         return fc_opt.optimize_fc(rec, params[rec.id].with_fc(None),

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroSpread
+from .errors import NumericalError
 from .gm_model import highpass, simulate
-from .resp_spectrum import batch_sa_matrix, compute_sa
+from .resp_spectrum import batch_sa_matrix, compute_sa, log_sa
 
 log = logging.getLogger(__name__)
 
@@ -96,7 +96,7 @@ def epsilon(real_log_sa, sim_log_sa, signed=False):
     std = sim_log_sa.std(axis=0, ddof=1)
     bad = std < 1e-12 * np.abs(mean)
     if np.any(bad):
-        raise ZeroSpread(f"zero spread at match points {np.nonzero(bad)[0].tolist()}")
+        raise NumericalError(f"zero spread at match points {np.nonzero(bad)[0].tolist()}")
     bias = float(np.sum((real_log_sa - mean) / std))
     return bias if signed else abs(bias)
 
@@ -126,8 +126,7 @@ def optimize_fc(record, params_no_fc, config=FcSearchConfig(), engine="spectral"
     return the argmin over the evaluated candidates (ties break to the
     smallest fc). See the module docstring for config.bracket."""
     record = record.to_si()
-    real_spec = compute_sa(record.accel, record.dt, MATCH_PERIODS)
-    real_log_sa = np.log(real_spec.sa)
+    real_log_sa = log_sa(compute_sa(record.accel, record.dt, MATCH_PERIODS).sa)
 
     batch = simulate(params_no_fc, record.dt, config.n_mc, config.seed, engine)
     x3 = batch.realizations
@@ -138,7 +137,7 @@ def optimize_fc(record, params_no_fc, config=FcSearchConfig(), engine="spectral"
     def bias(i):
         if i not in signed:
             filtered = highpass(x3, grid[i], record.dt)
-            sim_log_sa = np.log(batch_sa_matrix(filtered, record.dt, MATCH_PERIODS))
+            sim_log_sa = log_sa(batch_sa_matrix(filtered, record.dt, MATCH_PERIODS))
             signed[i] = epsilon(real_log_sa, sim_log_sa, signed=True)
             log.debug("fc=%.3f Hz -> S=%.4f", grid[i], signed[i])
         return signed[i]

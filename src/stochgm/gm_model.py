@@ -24,7 +24,7 @@ from scipy.signal import lfilter
 from scipy.special import gammainc, gammaincinv, gammaln
 
 from .catalog_io import G_ACCEL
-from .errors import DataError, DegenerateRecord, NoSolution, UnstableDiscretization
+from .errors import DataError, NumericalError
 
 SIGMA_FLOOR_REL = 1e-6  # below this fraction of max sigma, X2 is set to 0
 # elements per row block of the engines' (rows x m) or (rows x K) matrices:
@@ -72,17 +72,14 @@ class GMParams:
     def omega_max(self):
         return max(float(self.omega_at(0.0)), float(self.omega_at(self.t_total)))
 
-    @property
-    def ai(self):
-        return math.exp(self.log_ai)
-
     def with_fc(self, fc_hz):
         return replace(self, fc_hz=fc_hz)
 
 
 @dataclass(frozen=True)
 class ModulatorCoeffs:
-    """Coefficients of q(t) = a1 * t**(a2-1) * exp(-a3*t)."""
+    """Coefficients of q(t) = a1 * t**(a2-1) * exp(-a3*t); solve_modulator
+    fits shapes a2 > 1 only, so q(0) = 0."""
 
     a1: float
     a2: float
@@ -93,8 +90,6 @@ class ModulatorCoeffs:
         out = np.zeros_like(t)
         pos = t > 0
         out[pos] = self.a1 * t[pos] ** (self.a2 - 1) * np.exp(-self.a3 * t[pos])
-        if self.a2 <= 1:  # q(0) finite only for a2 > 1; a2 == 1 gives a1
-            out[~pos] = self.a1 if self.a2 == 1 else 0.0
         return out
 
 
@@ -113,10 +108,6 @@ class SimBatch:
     params: GMParams
     domain_tag: str  # "temporal" | "spectral"
     sigma_floor_hits: int = 0
-
-    @property
-    def times(self):
-        return np.arange(self.realizations.shape[1]) * self.dt
 
     def save_npz(self, path):
         """Columnar binary container; see README for the key layout."""
@@ -161,9 +152,9 @@ def solve_modulator(log_ai, d595, t_mid, t_total):
     (pi / 2g) * integral(q^2) equals AI = exp(log_ai).
     """
     if d595 >= t_total:
-        raise NoSolution(f"d595={d595} does not fit inside t_total={t_total}")
+        raise NumericalError(f"d595={d595} does not fit inside t_total={t_total}")
     if not 0 < t_mid < t_total:
-        raise NoSolution("t_mid must lie inside (0, t_total)")
+        raise NumericalError("t_mid must lie inside (0, t_total)")
 
     def span_resid(r, k):
         t5, _, t95 = _ai_quantile_times(k, r, t_total)
@@ -196,7 +187,7 @@ def solve_modulator(log_ai, d595, t_mid, t_total):
             break
         prev = (lk, v)
     if bracket is None:
-        raise NoSolution(
+        raise NumericalError(
             f"no gamma modulator reproduces d595={d595}, t_mid={t_mid}, t_total={t_total}")
     logk = brentq(tmid_resid, *bracket, xtol=1e-12)
     k = math.exp(logk)
@@ -218,7 +209,7 @@ def energy_targets(accel, dt):
     cum = np.concatenate([[0.0], np.cumsum((a2[1:] + a2[:-1]) / 2 * dt)])
     total = cum[-1]
     if total <= 0:
-        raise DegenerateRecord("zero Arias intensity")
+        raise DataError("zero Arias intensity")
     t = np.arange(cum.size) * dt
     t5, t45, t95 = np.interp([0.05, 0.45, 0.95], cum / total, t)
     return {"ai": math.pi / (2 * G_ACCEL) * total, "d595": t95 - t5, "t_mid": t45}
@@ -250,7 +241,7 @@ def _time_grid(params, dt):
 
 def _check_dt(params, dt):
     if params.omega_max * dt >= 0.5:
-        raise UnstableDiscretization(
+        raise NumericalError(
             f"omega_max*dt = {params.omega_max * dt:.3f} >= 0.5; reduce dt")
 
 

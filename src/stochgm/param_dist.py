@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats
 
-from .errors import DegenerateSample, OutOfSupport
+from .errors import DataError
 
 log = logging.getLogger(__name__)
 
@@ -73,20 +73,20 @@ def fit_marginal(samples, family):
     bounds from the data range plus the documented margin."""
     x = np.asarray(samples, dtype=float)
     if x.size < 5:
-        raise DegenerateSample("need at least 5 samples")
+        raise DataError("need at least 5 samples")
     if np.ptp(x) == 0:
-        raise DegenerateSample("sample has zero variance")
+        raise DataError("sample has zero variance")
 
     if family == "normal":
         return MarginalModel("normal", (float(x.mean()), float(x.std())),
                              (-np.inf, np.inf))
     if family == "exponential":
         if np.any(x < 0):
-            raise OutOfSupport("exponential requires nonnegative samples")
+            raise DataError("exponential requires nonnegative samples")
         return MarginalModel("exponential", (float(1.0 / x.mean()),), (0.0, np.inf))
     if family == "gamma":
         if np.any(x <= 0):
-            raise OutOfSupport("gamma requires positive samples")
+            raise DataError("gamma requires positive samples")
         a, _, scale = stats.gamma.fit(x, floc=0.0)
         return MarginalModel("gamma", (float(a), float(scale)), (0.0, np.inf))
     if family == "beta":

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .catalog_io import G_ACCEL
-from .errors import DegenerateRealization
+from .errors import DataError
 
 
 class PeriodUnderResolved(UserWarning):
@@ -152,12 +152,22 @@ def batch_sa_matrix(series_matrix, dt, periods, damping=0.05):
     return out
 
 
+def log_sa(sa):
+    """Natural log of one spectrum (n_periods,) or of one row per series
+    (n, n_periods). A zero Sa, from a series with no motion, has no log:
+    it is a DataError."""
+    sa = np.asarray(sa, dtype=float)
+    zero = sa == 0
+    if np.any(zero):
+        if sa.ndim == 1:
+            raise DataError(f"zero Sa at {int(zero.sum())} of {sa.size} periods")
+        bad = np.nonzero(zero.any(axis=1))[0]
+        raise DataError(f"zero Sa in realizations {bad.tolist()}")
+    return np.log(sa)
+
+
 def batch_log_sa(batch, periods, damping=0.05):
     """Natural-log Sa matrix of a SimBatch; row i is realization i."""
     if batch.realizations.shape[0] == 0:
         raise ValueError("empty batch")
-    sa = batch_sa_matrix(batch.realizations, batch.dt, periods, damping)
-    if np.any(sa == 0):
-        bad = np.nonzero((sa == 0).any(axis=1))[0]
-        raise DegenerateRealization(f"zero Sa in realizations {bad.tolist()}")
-    return np.log(sa)
+    return log_sa(batch_sa_matrix(batch.realizations, batch.dt, periods, damping))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient
+from .errors import NumericalError
 
 PARAM_LABELS = ("log_ai", "d595", "t_mid", "omega_mid", "omega_rate",
                 "zeta_f", "fc_hz")
@@ -42,7 +42,7 @@ class DesignMatrix:
             raise ValueError("theta contains non-finite entries")
         if np.linalg.matrix_rank(np.column_stack([np.ones(theta.shape[0]), theta])) \
                 < theta.shape[1] + 1:
-            raise RankDeficient("design matrix (with intercept) is rank deficient")
+            raise NumericalError("design matrix (with intercept) is rank deficient")
         object.__setattr__(self, "theta", theta)
 
     @property
@@ -83,7 +83,7 @@ def ols_fit(dm, y):
     X = np.column_stack([np.ones(dm.n), dm.theta])
     coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < dm.p + 1:
-        raise RankDeficient("design matrix lost rank during the solve")
+        raise NumericalError("design matrix lost rank during the solve")
     resid = y - X @ coef
     return float(coef[0]), coef[1:], resid
 

@@ -110,8 +110,9 @@ class LineChart:
         return "\n".join(parts)
 
 
-def panel_grid(charts, ncols=2):
-    """Stack rendered charts into one SVG document."""
+def panel_grid(charts):
+    """Stack rendered charts into one SVG document, two panels a row."""
+    ncols = 2
     if not charts:
         return '<svg xmlns="http://www.w3.org/2000/svg"/>'
     nrows = (len(charts) + ncols - 1) // ncols

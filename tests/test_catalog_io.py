@@ -4,8 +4,7 @@ import pytest
 from stochgm import catalog_io
 from stochgm.catalog_io import (AccelerogramRecord, load_catalog, parse_at2,
                                 parse_manifest, write_at2)
-from stochgm.errors import (CountMismatch, MalformedHeader, ManifestError,
-                            NonFiniteSample)
+from stochgm.errors import DataError
 
 
 def make_at2(values, npts=None, dt=0.01, header="NPTS={n:7d}, DT= {dt:9.4f}  SEC"):
@@ -37,19 +36,19 @@ def test_parse_at2_trailing_header():
 
 def test_parse_at2_count_mismatch():
     text = make_at2([0.1] * 9, npts=10)
-    with pytest.raises(CountMismatch):
+    with pytest.raises(DataError, match="declares NPTS=10 but body has 9 values"):
         parse_at2(text)
 
 
 def test_parse_at2_malformed_header():
     text = make_at2([0.1, 0.2], header="nothing useful here")
-    with pytest.raises(MalformedHeader):
+    with pytest.raises(DataError, match="cannot locate NPTS/DT"):
         parse_at2(text)
 
 
 def test_parse_at2_nonfinite():
     text = make_at2([0.1, float("nan"), 0.2])
-    with pytest.raises(NonFiniteSample):
+    with pytest.raises(DataError, match="non-finite acceleration values"):
         parse_at2(text)
 
 
@@ -100,7 +99,7 @@ def test_parse_manifest():
 
 
 def test_manifest_duplicate_ids():
-    with pytest.raises(ManifestError):
+    with pytest.raises(DataError, match="duplicate entry ids"):
         parse_manifest("id = a\npath = p\n\nid = a\npath = q\n")
 
 
@@ -118,7 +117,7 @@ def test_load_catalog(tmp_path):
 
 def test_load_catalog_missing_file(tmp_path):
     (tmp_path / "m.txt").write_text("id = ghost\npath = nowhere.AT2\n")
-    with pytest.raises(ManifestError, match="ghost"):
+    with pytest.raises(DataError, match="entry ghost: file not found"):
         load_catalog(tmp_path / "m.txt")
 
 

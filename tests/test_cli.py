@@ -6,7 +6,7 @@ import pytest
 
 from stochgm import GMParams, simulate_spectral, write_at2
 from stochgm.catalog_io import AccelerogramRecord, parse_manifest
-from stochgm import cli
+from stochgm import cli, fc_opt
 from stochgm.cli import main
 from stochgm.gm_model import apply_highpass, highpass_pad
 
@@ -341,15 +341,41 @@ def test_periods_cap_boundary(catalog_dir, tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("command,flags,edits,named", [
     ("fit-fc", ["--fc-grid", "900:1000:100", "--mc", "5"], {}, "entry rec00"),
     ("simulate", ["--n", "2"], {"fc_hz": "30"}, "entry rec03"),
+    # only the grid's top end is too high
+    ("fit-fc", ["--fc-grid", "0:30:0.01", "--mc", "5"], {}, "entry rec00: fc = 30 Hz"),
 ])
 def test_corner_at_or_above_nyquist_is_data_error(catalog_dir, tmp_path, capsys,
-                                                  command, flags, edits, named):
-    # dt = 0.02 s: the Nyquist frequency is 25 Hz
+                                                  monkeypatch, command, flags,
+                                                  edits, named):
+    # dt = 0.02 s: the Nyquist frequency is 25 Hz, and the run must stop
+    # as the catalog loads, before fit-fc simulates anything
+    calls = []
+    simulate = fc_opt.simulate
+    monkeypatch.setattr(fc_opt, "simulate",
+                        lambda *a, **k: calls.append(a) or simulate(*a, **k))
     manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", edits)
     assert_data_error([command, "--manifest", manifest] + flags, tmp_path / "o",
                       named, capsys)
     error = json.loads((tmp_path / "o" / "run_log.json").read_text())["error"]
     assert "Nyquist" in error
+    assert calls == []
+
+
+@pytest.mark.parametrize("command,flags,keep", [
+    ("stats", ["--periods", "0.1:5:12"], None),
+    ("sensitivity", ["--periods", "0.1:5:10"], None),
+    ("fit-fc", ["--fc-grid", "0.1:0.5:0.2", "--mc", "5"], 4),
+])
+def test_record_with_no_motion_is_data_error(catalog_dir, tmp_path, capsys,
+                                             command, flags, keep):
+    # an all-zero record has Sa = 0 at every period: log Sa is undefined,
+    # so neither statistics nor an fc fit can use it
+    zero = AccelerogramRecord(id="rec03", dt=0.02, accel=np.zeros(1251))
+    (tmp_path / "zero.AT2").write_text(write_at2(zero))
+    manifest = edited_manifest(catalog_dir, tmp_path / "m.txt",
+                               {"path": str(tmp_path / "zero.AT2")}, keep)
+    assert_data_error([command, "--manifest", manifest] + flags, tmp_path / "o",
+                      "entry rec03: zero Sa", capsys)
 
 
 def test_fit_fc_independent_of_jobs(catalog_dir, tmp_path):

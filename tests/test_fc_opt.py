@@ -3,7 +3,7 @@ import pytest
 
 from stochgm import FcSearchConfig, epsilon, fc_opt, optimize_fc, simulate_spectral
 from stochgm.catalog_io import AccelerogramRecord
-from stochgm.errors import ZeroSpread
+from stochgm.errors import NumericalError
 from stochgm.gm_model import apply_highpass
 
 FAST = FcSearchConfig(grid_lo=0.2, grid_hi=0.8, step=0.05, n_mc=30, seed=3)
@@ -44,7 +44,7 @@ class TestEpsilon:
 
     def test_zero_spread(self):
         sim = np.ones((50, 30))
-        with pytest.raises(ZeroSpread):
+        with pytest.raises(NumericalError, match="zero spread at match points"):
             epsilon(np.ones(30), sim)
 
 

@@ -1,6 +1,9 @@
-"""Import hygiene of the package sources, checked with the standard
-library's ast module: every name a module imports is used in it. Names
-that __init__.py lists in __all__ count as used (they are re-exported)."""
+"""Hygiene of the package sources, checked with the standard library's ast
+module:
+- every name a module imports is used in it. Names that __init__.py lists
+  in __all__ count as used (they are re-exported);
+- every exception class errors.py defines is caught somewhere in the
+  package, so no class exists that no handler tells apart."""
 
 import ast
 from pathlib import Path
@@ -50,3 +53,36 @@ def test_detects_unused_import():
               "from . import a as b\n__all__ = ['b']\n"
               "@dataclass\nclass C:\n    x: int = 0\n")
     assert unused_imports(source) == [(1, "os"), (2, "field")]
+
+
+def caught_names(tree):
+    """Names an except clause of the module names (bare or as attributes)."""
+    names = set()
+    for handler in ast.walk(tree):
+        if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+            for node in ast.walk(handler.type):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+    return names
+
+
+def uncaught_classes(errors_source, sources):
+    defined = {node.name for node in ast.parse(errors_source).body
+               if isinstance(node, ast.ClassDef)}
+    caught = set().union(*(caught_names(ast.parse(src)) for src in sources))
+    return sorted(defined - caught)
+
+
+def test_every_error_class_is_caught():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert uncaught_classes((PACKAGE / "errors.py").read_text(), sources) == []
+
+
+def test_detects_uncaught_error_class():
+    errors = "class A(Exception):\n    pass\n\nclass B(A):\n    pass\n"
+    source = ("try:\n    f()\nexcept (errors.A, KeyError):\n    pass\n"
+              "try:\n    g()\nexcept B:\n    pass\n")
+    assert uncaught_classes(errors, [source]) == []
+    assert uncaught_classes(errors, [source.replace("B:", "KeyError:")]) == ["B"]

@@ -4,7 +4,7 @@ from scipy import stats
 
 from stochgm import (JointParamModel, MarginalModel, fit_copula, fit_marginal,
                      sample_params)
-from stochgm.errors import DegenerateSample, OutOfSupport
+from stochgm.errors import DataError
 from stochgm.param_dist import load_joint_model, save_joint_model
 
 
@@ -34,13 +34,13 @@ class TestFitMarginal:
         assert lo < x.min() and hi > x.max()
 
     def test_out_of_support(self):
-        with pytest.raises(OutOfSupport):
+        with pytest.raises(DataError, match="exponential requires nonnegative"):
             fit_marginal([-1.0, 0.5, 1.0, 2.0, 3.0], "exponential")
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateSample):
+        with pytest.raises(DataError, match="zero variance"):
             fit_marginal([1.0, 1.0, 1.0, 1.0, 1.0], "normal")
-        with pytest.raises(DegenerateSample):
+        with pytest.raises(DataError, match="at least 5 samples"):
             fit_marginal([1.0, 2.0], "normal")
 
 

@@ -3,9 +3,9 @@ import pytest
 
 from stochgm import (batch_log_sa, compute_sa, simulate_spectral,
                      standard_period_grid)
-from stochgm.errors import DegenerateRealization
+from stochgm.errors import DataError
 from stochgm.gm_model import SimBatch
-from stochgm.resp_spectrum import PeriodUnderResolved, batch_sa_matrix
+from stochgm.resp_spectrum import PeriodUnderResolved, batch_sa_matrix, log_sa
 
 
 class TestPeriodGrid:
@@ -96,9 +96,14 @@ class TestBatchLogSa:
         np.testing.assert_allclose(m[0], expected, rtol=1e-12)
 
     def test_degenerate_realization(self):
-        with pytest.raises(DegenerateRealization):
+        with pytest.raises(DataError, match=r"zero Sa in realizations \[0\]"):
             batch_log_sa(self._batch([np.zeros(400)]),
                          standard_period_grid(5, 0.1, 1.0))
+
+    def test_log_sa_of_one_spectrum(self):
+        np.testing.assert_array_equal(log_sa([1.0, 2.0]), np.log([1.0, 2.0]))
+        with pytest.raises(DataError, match="zero Sa at 1 of 3 periods"):
+            log_sa([1.0, 0.0, 2.0])
 
     def test_column_means_converge(self, base_params, sim_dt):
         periods = standard_period_grid(12, 0.2, 5.0)

@@ -4,7 +4,7 @@ import pytest
 from stochgm import (DesignMatrix, covariance_decompose, fit_bundle, ols_fit,
                      r2_curve, scenario_neglect_fc, variance_decompose,
                      weighted_coefficients)
-from stochgm.errors import RankDeficient
+from stochgm.errors import NumericalError
 from stochgm.sensitivity import (baseline_surfaces, covariance_percentages,
                                  modified_sigma_tt)
 
@@ -57,7 +57,7 @@ class TestOlsFit:
         rng = np.random.default_rng(4)
         theta = rng.standard_normal((40, 7))
         theta[:, 6] = 2.0 * theta[:, 0]
-        with pytest.raises(RankDeficient):
+        with pytest.raises(NumericalError, match="rank deficient"):
             DesignMatrix(theta)
 
     def test_residual_mean_zero(self):
