@@ -4,9 +4,8 @@ regression machinery needed to study its effect on long-period spectra."""
 
 from .catalog_io import (AccelerogramRecord, Catalog, load_catalog, parse_at2,
                          write_at2)
-from .catalog_stats import (SpectraMatrix, extract_simple_params,
-                            spectral_correlation, spectral_quantiles,
-                            spectral_std)
+from .catalog_stats import (extract_simple_params, spectral_correlation,
+                            spectral_quantiles, spectral_std)
 from .fc_opt import FcResult, FcSearchConfig, epsilon, optimize_fc
 from .gm_model import (GMParams, ModulatorCoeffs, SimBatch, apply_highpass,
                        highpass, simulate, simulate_spectral,
@@ -25,7 +24,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccelerogramRecord", "Catalog", "load_catalog", "parse_at2", "write_at2",
-    "SpectraMatrix", "extract_simple_params", "spectral_correlation",
+    "extract_simple_params", "spectral_correlation",
     "spectral_quantiles", "spectral_std",
     "FcResult", "FcSearchConfig", "epsilon", "optimize_fc",
     "GMParams", "ModulatorCoeffs", "SimBatch", "apply_highpass", "highpass",

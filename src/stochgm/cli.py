@@ -133,8 +133,7 @@ def _theta(manifest, command):
     for rec_id, p in params.items():
         if p.fc_hz is None:
             raise DataError(f"entry {rec_id}: {command} needs fc_hz in manifest")
-    return catalog, np.array([[p.log_ai, p.d595, p.t_mid, p.omega_mid,
-                               p.omega_rate, p.zeta_f, p.fc_hz]
+    return catalog, np.array([[getattr(p, k) for k in sensitivity.PARAM_LABELS]
                               for p in params.values()])
 
 
@@ -168,10 +167,11 @@ def _write_matrix_csv(path, periods, matrix):
 
 
 def _catalog_log_sa(catalog, periods, jobs):
+    """(n_records, n_periods) log Sa of the catalog's records."""
     rows = _per_record(
         lambda rec: log_sa(compute_sa(rec.accel, rec.dt, periods).sa),
         catalog.records, jobs)
-    return catalog_stats.SpectraMatrix(log_sa=np.vstack(rows), periods=periods)
+    return np.vstack(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +252,18 @@ def cmd_fit_fc(args):
                        for rid, res in results.items()}}
 
 
-def _stats_outputs(tag, sm, out_dir):
-    q05 = catalog_stats.spectral_quantiles(sm, 0.05)
-    q50 = catalog_stats.spectral_quantiles(sm, 0.50)
-    q95 = catalog_stats.spectral_quantiles(sm, 0.95)
-    std = catalog_stats.spectral_std(sm)
+def _stats_outputs(tag, spectra, periods, out_dir):
+    q05 = catalog_stats.spectral_quantiles(spectra, 0.05)
+    q50 = catalog_stats.spectral_quantiles(spectra, 0.50)
+    q95 = catalog_stats.spectral_quantiles(spectra, 0.95)
+    std = catalog_stats.spectral_std(spectra)
     _write_csv(os.path.join(out_dir, f"{tag}_stats.csv"),
                ["T_s", "q05_logsa", "q50_logsa", "q95_logsa", "std_logsa"],
                [(f"{t:.6g}", f"{a:.8g}", f"{b:.8g}", f"{c:.8g}", f"{d:.8g}")
-                for t, a, b, c, d in zip(sm.periods, q05, q50, q95, std)])
-    rho = catalog_stats.spectral_correlation(sm)
+                for t, a, b, c, d in zip(periods, q05, q50, q95, std)])
+    rho = catalog_stats.spectral_correlation(spectra)
     _write_matrix_csv(os.path.join(out_dir, f"{tag}_correlation.csv"),
-                      sm.periods, rho)
+                      periods, rho)
     return {"q05": q05, "q50": q50, "q95": q95, "std": std, "rho": rho}
 
 
@@ -272,8 +272,8 @@ def cmd_stats(args):
     stats = {}
     for tag, manifest in (("recorded", args.manifest), ("synthetic", args.compare)):
         if manifest:
-            sm = _catalog_log_sa(_load(manifest), periods, args.jobs)
-            stats[tag] = _stats_outputs(tag, sm, args.out)
+            spectra = _catalog_log_sa(_load(manifest), periods, args.jobs)
+            stats[tag] = _stats_outputs(tag, spectra, periods, args.out)
 
     # quantile/std chart, one panel per statistic
     charts = []
@@ -309,8 +309,8 @@ def cmd_sensitivity(args):
     except ValueError as exc:
         raise DataError(f"--manifest {args.manifest}: {exc}") from exc
     periods = args.periods
-    sm = _catalog_log_sa(catalog, periods, args.jobs)
-    bundle = sensitivity.fit_bundle(dm, sm.log_sa, periods)
+    bundle = sensitivity.fit_bundle(
+        dm, _catalog_log_sa(catalog, periods, args.jobs), periods)
 
     r2 = sensitivity.r2_curve(bundle)
     _write_csv(os.path.join(args.out, "r2.csv"), ["T_s", "r2"],

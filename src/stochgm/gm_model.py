@@ -199,22 +199,6 @@ def solve_modulator(log_ai, d595, t_mid, t_total):
     return ModulatorCoeffs(a1=a1, a2=(k + 1) / 2, a3=r / 2)
 
 
-def energy_targets(accel, dt):
-    """AI = (pi/2g) int a^2 dt (m/s, trapezoid), d595 = t95 - t5 and
-    t_mid = t45 (s) of an acceleration series (m/s^2) sampled at dt, where
-    tq is the first time the normalized cumulative crosses q (linear
-    interpolation). Record extraction (catalog_stats.extract_simple_params)
-    uses it."""
-    a2 = np.asarray(accel, dtype=float) ** 2
-    cum = np.concatenate([[0.0], np.cumsum((a2[1:] + a2[:-1]) / 2 * dt)])
-    total = cum[-1]
-    if total <= 0:
-        raise DataError("zero Arias intensity")
-    t = np.arange(cum.size) * dt
-    t5, t45, t95 = np.interp([0.05, 0.45, 0.95], cum / total, t)
-    return {"ai": math.pi / (2 * G_ACCEL) * total, "d595": t95 - t5, "t_mid": t45}
-
-
 # ---------------------------------------------------------------------------
 # white-noise substreams
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ class RegressionBundle:
     """All per-period fits plus the shared input covariance (divisor n)."""
 
     periods: np.ndarray          # (nT,)
-    beta0: np.ndarray            # (nT,)
     beta: np.ndarray             # (p, nT)
     residuals: np.ndarray        # (n, nT)
     sigma_tt: np.ndarray         # (p, p)
@@ -96,47 +95,47 @@ def fit_bundle(dm, log_sa, periods):
         raise ValueError("log_sa must be (n_records, n_periods)")
 
     n, p, n_t = dm.n, dm.p, periods.size
-    beta0 = np.empty(n_t)
     beta = np.empty((p, n_t))
     resid = np.empty((n, n_t))
     for j in range(n_t):
-        beta0[j], beta[:, j], resid[:, j] = ols_fit(dm, log_sa[:, j])
+        _, beta[:, j], resid[:, j] = ols_fit(dm, log_sa[:, j])
 
     theta_c = dm.theta - dm.theta.mean(axis=0)
     resid_c = resid - resid.mean(axis=0)  # in-sample mean is already ~0
-    sigma_tt = theta_c.T @ theta_c / n
     return RegressionBundle(
-        periods=periods, beta0=beta0, beta=beta, residuals=resid,
-        sigma_tt=sigma_tt,
+        periods=periods, beta=beta, residuals=resid,
+        sigma_tt=theta_c.T @ theta_c / n,
         var_y=log_sa.var(axis=0),
         var_eps=resid.var(axis=0),
         cov_eps=resid_c.T @ resid_c / n,
         cov_theta_eps=theta_c.T @ resid_c / n)
 
 
+def _covariance_terms(bundle, sigma_tt=None):
+    """The four terms of Cov(Y(T1), Y(T2)) as (nT, nT) matrices, entry
+    [j1, j2] of each: beta1' S beta2 (S = sigma_tt or the bundle's),
+    beta1' cov_theta_eps(T2), beta2' cov_theta_eps(T1) and cov_eps(T1, T2).
+    They sum to the empirical covariance exactly (shared divisor n)."""
+    s = bundle.sigma_tt if sigma_tt is None else sigma_tt
+    cross = bundle.cov_theta_eps.T @ bundle.beta  # [j1, j2] = beta2' cov_theta_eps(T1)
+    return {"beta_sigma_beta": bundle.beta.T @ s @ bundle.beta,
+            "beta1_cov_theta_eps2": cross.T, "beta2_cov_theta_eps1": cross,
+            "cov_eps": bundle.cov_eps}
+
+
 def variance_decompose(bundle, period, sigma_tt=None):
     """Split Var(Y(T)) into the regression and residual parts."""
     j = bundle.period_index(period)
-    s = bundle.sigma_tt if sigma_tt is None else sigma_tt
-    b = bundle.beta[:, j]
-    explained = float(b @ s @ b)
-    residual = float(bundle.var_eps[j])
-    return {"explained": explained, "residual": residual,
+    explained = float(_covariance_terms(bundle, sigma_tt)["beta_sigma_beta"][j, j])
+    return {"explained": explained, "residual": float(bundle.var_eps[j]),
             "r2": explained / float(bundle.var_y[j])}
 
 
 def covariance_decompose(bundle, t1, t2, sigma_tt=None):
-    """Four-term split of Cov(Y(T1), Y(T2)); terms sum to the empirical
-    covariance exactly under the shared divisor-n convention."""
+    """Four-term split of Cov(Y(T1), Y(T2)) (see _covariance_terms)."""
     j1, j2 = bundle.period_index(t1), bundle.period_index(t2)
-    s = bundle.sigma_tt if sigma_tt is None else sigma_tt
-    b1, b2 = bundle.beta[:, j1], bundle.beta[:, j2]
-    return {
-        "beta_sigma_beta": float(b1 @ s @ b2),
-        "beta1_cov_theta_eps2": float(b1 @ bundle.cov_theta_eps[:, j2]),
-        "beta2_cov_theta_eps1": float(b2 @ bundle.cov_theta_eps[:, j1]),
-        "cov_eps": float(bundle.cov_eps[j1, j2]),
-    }
+    return {k: float(m[j1, j2])
+            for k, m in _covariance_terms(bundle, sigma_tt).items()}
 
 
 def r2_curve(bundle):
@@ -158,39 +157,33 @@ def modified_sigma_tt(bundle, mode):
     no_cov zeroes only the off-diagonal entries. no_cov can break positive
     semidefiniteness; the matrix is returned as-is (no repair).
     """
-    s = bundle.sigma_tt.copy()
-    if mode == "const_fc":
-        s[FC_INDEX, :] = 0.0
-        s[:, FC_INDEX] = 0.0
-    elif mode == "no_cov":
-        keep = s[FC_INDEX, FC_INDEX]
-        s[FC_INDEX, :] = 0.0
-        s[:, FC_INDEX] = 0.0
-        s[FC_INDEX, FC_INDEX] = keep
-    else:
+    if mode not in ("const_fc", "no_cov"):
         raise ValueError(f"unknown mode {mode!r}")
+    s = bundle.sigma_tt.copy()
+    s[FC_INDEX, :] = 0.0
+    s[:, FC_INDEX] = 0.0
+    if mode == "no_cov":
+        s[FC_INDEX, FC_INDEX] = bundle.sigma_tt[FC_INDEX, FC_INDEX]
     return s
 
 
 def _surfaces(bundle, sigma_tt):
     """Var and rho surfaces implied by the fitted bundle under input
     covariance sigma_tt; betas and residual terms unchanged."""
-    quad = bundle.beta.T @ sigma_tt @ bundle.beta  # (nT, nT)
-    cross = bundle.cov_theta_eps.T @ bundle.beta
-    cov = quad + cross + cross.T + bundle.cov_eps
-    var = np.diag(quad) + bundle.var_eps
+    terms = _covariance_terms(bundle, sigma_tt)
+    cov = sum(terms.values())
+    var = np.diag(terms["beta_sigma_beta"]) + bundle.var_eps
     rho = cov / np.sqrt(np.outer(np.abs(var), np.abs(var)))
     rho = (rho + rho.T) / 2
     np.fill_diagonal(rho, 1.0)
-    return {"var": var, "cov": cov, "rho": rho}
+    return {"var": var, "rho": rho}
 
 
 def scenario_neglect_fc(bundle, mode):
     """Recompute the variance and correlation surfaces with the fc entries
     of the input covariance removed (see modified_sigma_tt)."""
-    s = modified_sigma_tt(bundle, mode)
-    surf = _surfaces(bundle, s)
-    return dict(surf, sigma_tt=s, negative_variance=surf["var"] <= 0)
+    surf = _surfaces(bundle, modified_sigma_tt(bundle, mode))
+    return dict(surf, negative_variance=surf["var"] <= 0)
 
 
 def baseline_surfaces(bundle):

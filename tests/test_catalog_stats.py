@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from stochgm import (SpectraMatrix, extract_simple_params, spectral_correlation,
+from stochgm import (extract_simple_params, spectral_correlation,
                      spectral_quantiles, spectral_std)
 from stochgm.catalog_io import AccelerogramRecord
 from stochgm.errors import DataError
 
-PERIODS = np.array([0.1, 0.5, 1.0, 4.0])
-
 
 def make_sm(rows):
-    rows = np.asarray(rows, dtype=float)
-    return SpectraMatrix(log_sa=rows, periods=PERIODS[:rows.shape[1]])
+    """log Sa as the statistics take it: (n_records, n_periods) floats."""
+    return np.asarray(rows, dtype=float)
 
 
 class TestQuantiles:
@@ -28,8 +26,7 @@ class TestQuantiles:
 
     def test_normal_quantile(self):
         rng = np.random.default_rng(4)
-        sm = SpectraMatrix(log_sa=rng.standard_normal((1000, 2)),
-                           periods=np.array([1.0, 2.0]))
+        sm = rng.standard_normal((1000, 2))
         q95 = spectral_quantiles(sm, 0.95)
         np.testing.assert_allclose(q95, 1.645, atol=0.1)
 
@@ -73,8 +70,15 @@ class TestCorrelation:
         rng = np.random.default_rng(1)
         rows = rng.standard_normal((10, 4))
         rows[:, 2] = 3.0
-        with pytest.raises(DataError, match=r"zero variance at periods \[1\.0\]"):
+        with pytest.raises(DataError, match=r"zero variance at period columns \[2\]"):
             spectral_correlation(make_sm(rows))
+
+    def test_constant_column_whose_mean_rounds(self):
+        # mean([0.1] * 3) != 0.1, so the column's var() is ~2e-34, not 0
+        rows = np.full((3, 2), 0.1)
+        rows[:, 1] = [1.0, 2.0, 3.0]
+        with pytest.raises(DataError, match=r"zero variance at period columns \[0\]"):
+            spectral_correlation(rows)
 
     def test_row_shuffle_invariance(self):
         rng = np.random.default_rng(12)
@@ -85,6 +89,37 @@ class TestCorrelation:
                                    spectral_correlation(shuffled), atol=1e-12)
         np.testing.assert_allclose(spectral_std(sm), spectral_std(shuffled),
                                    atol=1e-12)
+
+
+    def test_stacked_rows(self):
+        # the call the data-gated reference criterion makes: one log Sa row
+        # per record, stacked with np.vstack
+        rng = np.random.default_rng(5)
+        rows = [rng.standard_normal(4) for _ in range(6)]
+        rho = spectral_correlation(np.vstack(rows))
+        np.testing.assert_array_equal(rho, rho.T)
+        np.testing.assert_array_equal(np.diag(rho), 1.0)
+
+
+def spectral_median(log_sa):
+    return spectral_quantiles(log_sa, 0.5)
+
+
+class TestShapeChecks:
+    @pytest.mark.parametrize("stat", [spectral_median, spectral_std,
+                                      spectral_correlation])
+    def test_one_dimensional(self, stat):
+        with pytest.raises(ValueError, match=r"must be \(n_records, n_periods\)"):
+            stat(np.arange(5.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("stat", [spectral_median, spectral_std,
+                                      spectral_correlation])
+    def test_non_finite(self, stat, bad):
+        rows = np.random.default_rng(9).standard_normal((10, 4))
+        rows[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            stat(rows)
 
 
 class TestExtractSimpleParams:

@@ -3,14 +3,17 @@ module:
 - every name a module imports is used in it. Names that __init__.py lists
   in __all__ count as used (they are re-exported);
 - every exception class errors.py defines is caught somewhere in the
-  package, so no class exists that no handler tells apart."""
+  package, so no class exists that no handler tells apart;
+- every field of a dataclass in the package is read somewhere in the
+  package, the benchmark or the tests, so no member is carried unread."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "stochgm"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "stochgm"
 
 
 def imported_names(tree):
@@ -86,3 +89,59 @@ def test_detects_uncaught_error_class():
               "try:\n    g()\nexcept B:\n    pass\n")
     assert uncaught_classes(errors, [source]) == []
     assert uncaught_classes(errors, [source.replace("B:", "KeyError:")]) == ["B"]
+
+
+def _is_dataclass(node):
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "attr", getattr(target, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields(tree):
+    """(class, field) for each annotated field of each @dataclass."""
+    return [(node.name, stmt.target.id)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+
+
+def read_attributes(tree):
+    """Attribute names the module reads: x.name in a load context, or
+    getattr(x, "name"...) with a constant name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "getattr" and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            names.add(node.args[1].value)
+    return names
+
+
+def unread_fields(package_sources, reader_sources):
+    read = set().union(*(read_attributes(ast.parse(src)) for src in reader_sources))
+    return sorted(f"{cls}.{name}"
+                  for src in package_sources
+                  for cls, name in dataclass_fields(ast.parse(src))
+                  if name not in read)
+
+
+def test_every_dataclass_field_is_read():
+    package = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    readers = package + [path.read_text() for folder in ("perfbench", "tests")
+                         for path in sorted((ROOT / folder).glob("*.py"))]
+    assert unread_fields(package, readers) == []
+
+
+def test_detects_unread_field():
+    package = ("from dataclasses import dataclass\n"
+               "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+               "    z: int = 0\n    K = 3\n"
+               "@dataclasses.dataclass\nclass B:\n    w: float\n"
+               "class C:\n    v: int\n")
+    reader = "def f(a, b):\n    a.y = 1\n    return a.x + getattr(b, 'w')\n"
+    assert unread_fields([package], [reader]) == ["A.y", "A.z"]
