@@ -29,8 +29,10 @@ _RE_NPTS_EQ = re.compile(r"NPTS\s*=\s*(\d+)\s*,?\s*DT\s*=\s*([0-9.Ee+-]+)", re.I
 # "  2000   0.0100  NPTS, DT" style
 _RE_NPTS_TRAIL = re.compile(r"^\s*(\d+)\s+([0-9.Ee+-]+)\s+NPTS\s*,?\s*DT", re.IGNORECASE)
 
-_PARAM_KEYS = ("log_ai", "d595", "t_mid", "omega_mid", "omega_rate",
-               "zeta_f", "t_total", "fc_hz")
+# the model-parameter keys a manifest may carry, in GMParams field order; the
+# one statement of that order (save_npz's params array, PARAM_LABELS)
+PARAM_KEYS = ("log_ai", "d595", "t_mid", "omega_mid", "omega_rate",
+              "zeta_f", "t_total", "fc_hz")
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ class AccelerogramRecord:
 class ManifestEntry:
     id: str
     path: str
-    params: dict = field(default_factory=dict)  # subset of _PARAM_KEYS
+    params: dict = field(default_factory=dict)  # subset of PARAM_KEYS
 
 
 @dataclass(frozen=True)
@@ -162,7 +164,7 @@ def parse_manifest(text):
         if "id" not in block or "path" not in block:
             raise DataError(f"manifest entry missing id/path: {block}")
         params = {}
-        for k in _PARAM_KEYS:
+        for k in PARAM_KEYS:
             if k in block:
                 try:
                     params[k] = float(block[k])

@@ -5,6 +5,10 @@ sample-params. CSV files are the authoritative outputs; SVG charts are a
 convenience. Every run writes a machine-readable run_log.json into the
 output directory. Exit codes: 0 success, 1 usage error, 2 data error,
 3 numerical failure.
+
+Each subcommand imports the modules it calls, so a process loads only what
+its subcommand needs: convert never imports scipy.signal, scipy.stats or
+scipy.optimize.
 """
 
 import argparse
@@ -21,12 +25,9 @@ import time
 import numpy as np
 import scipy
 
-from . import __version__, catalog_stats, fc_opt, param_dist, sensitivity, svgplot
-from .catalog_io import load_catalog, write_at2
+from . import __version__
+from .catalog_io import G_ACCEL, load_catalog, write_at2
 from .errors import DataError, NumericalError
-from .gm_model import (G_ACCEL, GMParams, apply_highpass, highpass_pad,
-                       n_samples, simulate)
-from .resp_spectrum import compute_sa, log_sa, standard_period_grid
 
 log = logging.getLogger("stochgm")
 
@@ -67,8 +68,10 @@ def _check_args(args):
             raise DataError("--periods LO:HI:COUNT needs 0 < LO < HI < inf and "
                             f"a whole COUNT in [2, {most}], "
                             f"got {lo:g}:{hi:g}:{count:g}")
+        from .resp_spectrum import standard_period_grid
         args.periods = standard_period_grid(n=int(count), lo=lo, hi=hi)
     if hasattr(args, "fc_grid"):
+        from . import fc_opt
         try:
             args.fc_search = fc_opt.FcSearchConfig(
                 *args.fc_grid, n_mc=args.mc, seed=args.seed, bracket=True)
@@ -78,21 +81,22 @@ def _check_args(args):
 
 def entry_params(entry, record, fc_default=None):
     """Build GMParams for a manifest entry, extracting the simple
-    parameters from the record when the manifest omits them."""
+    parameters from the record when the manifest omits them. The entry's
+    params are keyed by catalog_io.PARAM_KEYS, the GMParams field names."""
+    from .catalog_stats import extract_simple_params
+    from .gm_model import GMParams
+
     p = dict(entry.params)
     missing = {"log_ai", "d595", "t_mid"} - set(p)
     if missing:
-        p.update({k: v for k, v in
-                  catalog_stats.extract_simple_params(record).items()
+        p.update({k: v for k, v in extract_simple_params(record).items()
                   if k in missing})
     for key in ("omega_mid", "omega_rate", "zeta_f"):
         if key not in p:
             raise DataError(f"entry {entry.id}: manifest must supply {key}")
     p.setdefault("t_total", record.duration)
-    fc = p.pop("fc_hz", fc_default)
-    return GMParams(log_ai=p["log_ai"], d595=p["d595"], t_mid=p["t_mid"],
-                    omega_mid=p["omega_mid"], omega_rate=p["omega_rate"],
-                    zeta_f=p["zeta_f"], t_total=p["t_total"], fc_hz=fc)
+    p.setdefault("fc_hz", fc_default)
+    return GMParams(**p)
 
 
 def _load(manifest, params=False, fc_default=None, draws=None):
@@ -107,6 +111,8 @@ def _load(manifest, params=False, fc_default=None, draws=None):
         raise DataError(f"catalog from {manifest} is empty")
     if not params:
         return catalog
+    from .gm_model import highpass_pad, n_samples
+
     built = {}
     for entry, rec in zip(catalog.entries, catalog.records):
         try:
@@ -129,6 +135,8 @@ def _load(manifest, params=False, fc_default=None, draws=None):
 def _theta(manifest, command):
     """The catalog and its (n_records, 7) parameter matrix, columns ordered
     as sensitivity.PARAM_LABELS; every entry must supply fc_hz."""
+    from . import sensitivity
+
     catalog, params = _load(manifest, params=True)
     for rec_id, p in params.items():
         if p.fc_hz is None:
@@ -168,6 +176,8 @@ def _write_matrix_csv(path, periods, matrix):
 
 def _catalog_log_sa(catalog, periods, jobs):
     """(n_records, n_periods) log Sa of the catalog's records."""
+    from .resp_spectrum import compute_sa, log_sa
+
     rows = _per_record(
         lambda rec: log_sa(compute_sa(rec.accel, rec.dt, periods).sa),
         catalog.records, jobs)
@@ -192,6 +202,8 @@ def cmd_convert(args):
 
 
 def cmd_simulate(args):
+    from .gm_model import apply_highpass, simulate
+
     catalog, params = _load(args.manifest, params=True, fc_default=0.0,
                             draws=("--n", args.n, None))
 
@@ -216,6 +228,8 @@ def cmd_simulate(args):
 
 
 def cmd_spectrum(args):
+    from .resp_spectrum import compute_sa
+
     catalog = _load(args.manifest)
     for rec in catalog:
         spec = compute_sa(rec.accel, rec.dt, args.periods)
@@ -230,6 +244,8 @@ def cmd_spectrum(args):
 
 
 def cmd_fit_fc(args):
+    from . import fc_opt
+
     grid = args.fc_search.grid
     ends = (float(grid[grid > 0][0]), float(grid[-1])) if grid[-1] > 0 else (0.0,)
     catalog, params = _load(args.manifest, params=True,
@@ -253,6 +269,8 @@ def cmd_fit_fc(args):
 
 
 def _stats_outputs(tag, spectra, periods, out_dir):
+    from . import catalog_stats
+
     q05 = catalog_stats.spectral_quantiles(spectra, 0.05)
     q50 = catalog_stats.spectral_quantiles(spectra, 0.50)
     q95 = catalog_stats.spectral_quantiles(spectra, 0.95)
@@ -268,6 +286,8 @@ def _stats_outputs(tag, spectra, periods, out_dir):
 
 
 def cmd_stats(args):
+    from . import svgplot
+
     periods = args.periods
     stats = {}
     for tag, manifest in (("recorded", args.manifest), ("synthetic", args.compare)):
@@ -303,6 +323,8 @@ def cmd_stats(args):
 
 
 def cmd_sensitivity(args):
+    from . import sensitivity, svgplot
+
     catalog, theta = _theta(args.manifest, "sensitivity")
     try:
         dm = sensitivity.DesignMatrix(theta)
@@ -354,6 +376,8 @@ def cmd_sensitivity(args):
 
 
 def cmd_sample_params(args):
+    from . import param_dist, sensitivity
+
     _, theta = _theta(args.manifest, "sample-params")
 
     marginals = tuple(

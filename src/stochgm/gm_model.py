@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 from scipy.signal import lfilter
 from scipy.special import gammainc, gammaincinv, gammaln
 
-from .catalog_io import G_ACCEL
+from .catalog_io import G_ACCEL, PARAM_KEYS
 from .errors import DataError, NumericalError
 
 SIGMA_FLOOR_REL = 1e-6  # below this fraction of max sigma, X2 is set to 0
@@ -110,24 +110,23 @@ class SimBatch:
     sigma_floor_hits: int = 0
 
     def save_npz(self, path):
-        """Columnar binary container; see README for the key layout."""
-        p = self.params
-        np.savez_compressed(
-            path,
-            realizations=self.realizations, dt=self.dt, seed=self.seed,
-            domain_tag=self.domain_tag,
-            params=np.array([p.log_ai, p.d595, p.t_mid, p.omega_mid,
-                             p.omega_rate, p.zeta_f, p.t_total,
-                             np.nan if p.fc_hz is None else p.fc_hz]))
+        """Columnar binary container, stored uncompressed (float64 noise
+        barely compresses); see README for the key layout. params holds
+        the GMParams fields in PARAM_KEYS order, NaN for an unset fc."""
+        values = [getattr(self.params, k) for k in PARAM_KEYS]
+        np.savez(path, realizations=self.realizations, dt=self.dt, seed=self.seed,
+                 domain_tag=self.domain_tag,
+                 params=np.array([np.nan if v is None else v for v in values]))
 
     @classmethod
     def load_npz(cls, path):
+        """Read a batch written by save_npz, stored or compressed."""
         with np.load(path) as z:
-            pv = z["params"]
-            fc = None if np.isnan(pv[7]) else float(pv[7])
-            params = GMParams(*[float(v) for v in pv[:7]], fc_hz=fc)
+            p = dict(zip(PARAM_KEYS, (float(v) for v in z["params"])))
+            if np.isnan(p["fc_hz"]):
+                p["fc_hz"] = None
             return cls(realizations=z["realizations"], dt=float(z["dt"]),
-                       seed=int(z["seed"]), params=params,
+                       seed=int(z["seed"]), params=GMParams(**p),
                        domain_tag=str(z["domain_tag"]))
 
 

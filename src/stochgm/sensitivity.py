@@ -18,11 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog_io import PARAM_KEYS
 from .errors import NumericalError
 
-PARAM_LABELS = ("log_ai", "d595", "t_mid", "omega_mid", "omega_rate",
-                "zeta_f", "fc_hz")
-FC_INDEX = 6
+# the seven model parameters: the manifest's keys without the duration
+PARAM_LABELS = tuple(k for k in PARAM_KEYS if k != "t_total")
+FC_INDEX = PARAM_LABELS.index("fc_hz")
 
 
 @dataclass(frozen=True)

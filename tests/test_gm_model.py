@@ -1,8 +1,10 @@
+import dataclasses
 import math
 import os
 import subprocess
 import sys
 import textwrap
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from scipy.signal import fftconvolve
 
 from stochgm import (GMParams, apply_highpass, gm_model, highpass,
                      simulate_spectral, simulate_temporal, solve_modulator)
+from stochgm.catalog_io import PARAM_KEYS
 from stochgm.errors import DataError, NumericalError
 from stochgm.gm_model import G_ACCEL, SimBatch
 
@@ -102,10 +105,41 @@ class TestEngines:
         batch = simulate_spectral(base_params, sim_dt, 3, seed=1)
         path = tmp_path / "b.npz"
         batch.save_npz(path)
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
         loaded = SimBatch.load_npz(path)
         np.testing.assert_array_equal(loaded.realizations, batch.realizations)
         assert loaded.params == batch.params
+        assert (loaded.dt, loaded.seed) == (batch.dt, batch.seed)
         assert loaded.domain_tag == "spectral"
+
+        # the compressed layout earlier versions wrote still loads
+        with np.load(path) as z:
+            arrays = dict(z)
+        old = tmp_path / "old.npz"
+        np.savez_compressed(old, **arrays)
+        with zipfile.ZipFile(old) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_DEFLATED}
+        again = SimBatch.load_npz(old)
+        np.testing.assert_array_equal(again.realizations, loaded.realizations)
+        assert (again.params, again.dt, again.seed, again.domain_tag) == (
+            loaded.params, loaded.dt, loaded.seed, loaded.domain_tag)
+
+    def test_npz_params_in_field_order(self, base_params, sim_dt, tmp_path):
+        """params is the GMParams fields in PARAM_KEYS order, NaN for an
+        unset fc, and PARAM_KEYS is the field order itself."""
+        assert [f.name for f in dataclasses.fields(GMParams)] == list(PARAM_KEYS)
+        p = base_params
+        for fc in (None, 0.5):
+            batch = simulate_spectral(p.with_fc(fc), sim_dt, 1, seed=1)
+            batch.save_npz(tmp_path / "b.npz")
+            with np.load(tmp_path / "b.npz") as z:
+                params = z["params"]
+            expected = np.array([p.log_ai, p.d595, p.t_mid, p.omega_mid,
+                                 p.omega_rate, p.zeta_f, p.t_total,
+                                 np.nan if fc is None else fc])
+            assert params.tobytes() == expected.tobytes()
+            assert SimBatch.load_npz(tmp_path / "b.npz").params.fc_hz == fc
 
 
 def dense_temporal_x1(params, t, dt, z):

@@ -1,0 +1,74 @@
+"""What each entry point imports. The package resolves its public names on
+first use and the CLI imports per subcommand, so a process that only
+parses arguments or converts records never loads scipy's signal, stats or
+optimize packages. Each check runs in a fresh interpreter, because this
+test process has imported everything already."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+
+from stochgm.catalog_io import AccelerogramRecord, write_at2
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+HEAVY = ("scipy.signal", "scipy.stats", "scipy.optimize")
+
+
+def run_fresh(code):
+    """Run `code` in a fresh interpreter importing from src/; fail with
+    its stderr if it exits non-zero."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_no_heavy_scipy():
+    run_fresh(f"""
+        import sys
+        import stochgm.cli
+        assert not [m for m in {HEAVY!r} if m in sys.modules], sys.modules
+    """)
+
+
+def test_convert_loads_no_heavy_scipy(tmp_path):
+    rec = AccelerogramRecord(id="r0", dt=0.01, accel=np.sin(np.arange(50) / 5.0))
+    (tmp_path / "r0.AT2").write_text(write_at2(rec))
+    (tmp_path / "m.txt").write_text("id = r0\npath = r0.AT2\n")
+    out = tmp_path / "out"
+    run_fresh(f"""
+        import sys
+        from stochgm import cli
+        assert cli.main(["convert", "--manifest", {str(tmp_path / "m.txt")!r},
+                         "--out", {str(out)!r}]) == 0
+        assert not [m for m in {HEAVY!r} if m in sys.modules], sys.modules
+    """)
+    assert (out / "r0.AT2").read_text() == write_at2(rec)
+
+
+def test_public_names_resolve_lazily():
+    run_fresh("""
+        import importlib
+        import sys
+        import stochgm
+        assert not [m for m in sys.modules if m.startswith("stochgm.")]
+        listed = dir(stochgm)
+        for name in stochgm.__all__:
+            obj = getattr(stochgm, name)
+            home = importlib.import_module(obj.__module__)
+            assert home.__name__.startswith("stochgm."), (name, home)
+            assert getattr(home, name) is obj, name
+            assert name in listed, name
+        try:
+            stochgm.no_such_name
+        except AttributeError as exc:
+            assert "no_such_name" in str(exc)
+        else:
+            raise AssertionError("unknown attribute resolved")
+    """)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stochgm.catalog_io import (_PARAM_KEYS, AccelerogramRecord, parse_at2,
+from stochgm.catalog_io import (PARAM_KEYS, AccelerogramRecord, parse_at2,
                                 parse_manifest, write_at2)
 
 pytest.importorskip("hypothesis")
@@ -29,7 +29,7 @@ def test_at2_round_trip(rec_id, dt_steps, accel, unit):
 
 
 ENTRY = st.tuples(NAMES, NAMES.map(lambda s: f"records/{s}.AT2"),
-                  st.dictionaries(st.sampled_from(_PARAM_KEYS),
+                  st.dictionaries(st.sampled_from(PARAM_KEYS),
                                   st.floats(allow_nan=False, allow_infinity=False)))
 
 
