@@ -174,14 +174,28 @@ def _write_matrix_csv(path, periods, matrix):
                 for t1, row in zip(periods, matrix)])
 
 
+def _spectra_health(records, spectra):
+    """run_log health of the records' response spectra: the record x
+    period pairs with T < 2 dt and the largest refine factor the kernel
+    used."""
+    from .resp_spectrum import refine_factor
+
+    return {"under_resolved_periods": int(sum(s.under_resolved.sum() for s in spectra)),
+            "max_refine": max(refine_factor(rec.dt, s.periods.min())
+                              for rec, s in zip(records, spectra))}
+
+
 def _catalog_log_sa(catalog, periods, jobs):
-    """(n_records, n_periods) log Sa of the catalog's records."""
+    """(n_records, n_periods) log Sa of the catalog's records, and the
+    records' spectra."""
     from .resp_spectrum import compute_sa, log_sa
 
-    rows = _per_record(
-        lambda rec: log_sa(compute_sa(rec.accel, rec.dt, periods).sa),
-        catalog.records, jobs)
-    return np.vstack(rows)
+    def one(rec):
+        spec = compute_sa(rec.accel, rec.dt, periods)
+        return log_sa(spec.sa), spec
+
+    rows, spectra = zip(*_per_record(one, catalog.records, jobs))
+    return np.vstack(rows), spectra
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +245,10 @@ def cmd_spectrum(args):
     from .resp_spectrum import compute_sa
 
     catalog = _load(args.manifest)
+    spectra = []
     for rec in catalog:
         spec = compute_sa(rec.accel, rec.dt, args.periods)
+        spectra.append(spec)
         path = os.path.join(args.out, f"{rec.id}_spectrum.csv")
         with open(path, "w", newline="") as fh:
             fh.write(f"# damping = {spec.damping}\n")
@@ -240,7 +256,8 @@ def cmd_spectrum(args):
             w.writerow(["T_s", "Sa_g"])
             w.writerows((f"{t:.6g}", f"{s:.8g}")
                         for t, s in zip(spec.periods, spec.sa_g))
-    return {"records": len(catalog), "n_periods": int(args.periods.size)}
+    return {"records": len(catalog), "n_periods": int(args.periods.size),
+            "health": _spectra_health(catalog.records, spectra)}
 
 
 def cmd_fit_fc(args):
@@ -289,11 +306,14 @@ def cmd_stats(args):
     from . import svgplot
 
     periods = args.periods
-    stats = {}
+    stats, records, spectra = {}, [], []
     for tag, manifest in (("recorded", args.manifest), ("synthetic", args.compare)):
         if manifest:
-            spectra = _catalog_log_sa(_load(manifest), periods, args.jobs)
-            stats[tag] = _stats_outputs(tag, spectra, periods, args.out)
+            catalog = _load(manifest)
+            log_sa, specs = _catalog_log_sa(catalog, periods, args.jobs)
+            stats[tag] = _stats_outputs(tag, log_sa, periods, args.out)
+            records += catalog.records
+            spectra += specs
 
     # quantile/std chart, one panel per statistic
     charts = []
@@ -319,7 +339,8 @@ def cmd_stats(args):
         charts.append(chart)
     with open(os.path.join(args.out, "correlation.svg"), "w") as fh:
         fh.write(svgplot.panel_grid(charts))
-    return {"catalogs": list(stats), "n_periods": int(periods.size)}
+    return {"catalogs": list(stats), "n_periods": int(periods.size),
+            "health": _spectra_health(records, spectra)}
 
 
 def cmd_sensitivity(args):
@@ -331,8 +352,8 @@ def cmd_sensitivity(args):
     except ValueError as exc:
         raise DataError(f"--manifest {args.manifest}: {exc}") from exc
     periods = args.periods
-    bundle = sensitivity.fit_bundle(
-        dm, _catalog_log_sa(catalog, periods, args.jobs), periods)
+    log_sa, spectra = _catalog_log_sa(catalog, periods, args.jobs)
+    bundle = sensitivity.fit_bundle(dm, log_sa, periods)
 
     r2 = sensitivity.r2_curve(bundle)
     _write_csv(os.path.join(args.out, "r2.csv"), ["T_s", "r2"],
@@ -372,7 +393,8 @@ def cmd_sensitivity(args):
     chart.add_line(periods, r2, label="full")
     with open(os.path.join(args.out, "r2.svg"), "w") as fh:
         fh.write(chart.render())
-    return {"r2_range": [float(r2.min()), float(r2.max())]}
+    return {"r2_range": [float(r2.min()), float(r2.max())],
+            "health": _spectra_health(catalog.records, spectra)}
 
 
 def cmd_sample_params(args):

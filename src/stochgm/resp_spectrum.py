@@ -1,12 +1,16 @@
 """Elastic pseudo-acceleration response spectra.
 
-The SDOF relative-displacement equation is integrated with the segment-exact
-recurrence for piecewise-linear base acceleration. The 2x2 state recurrence
-is reduced to an equivalent second-order difference equation and evaluated
-with scipy.signal.lfilter, which is exact for the stored representation and
-vectorizes over realizations.
+The SDOF equation u'' + 2 zeta w u' + w^2 u = f is integrated with the
+piecewise-exact recurrence of Nigam & Jennings (1969) for f linear between
+samples, x_k+1 = A x_k + B (f_k, f_k+1) with x = (u, u'), evaluated with
+scipy.signal.lfilter. The peak is read at least MIN_SAMPLES_PER_CYCLE
+times per cycle: for short periods, also at t_k + q dt/refine, each the
+exact fractional-step transition from (u_k, u'_k, f_k, f_k+1); nothing
+is upsampled or approximated.
 """
 
+import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -55,82 +59,91 @@ def standard_period_grid(n=100, lo=0.05, hi=10.0):
     return np.logspace(math.log10(lo), math.log10(hi), n)
 
 
-def _sdof_transition(omega, zeta, dt):
-    """Exact state transition A and load matrix B for one time step with
-    linearly interpolated forcing f (equation u'' + 2 zeta w u' + w^2 u = f)."""
+# 1/(j+2)!, j = 0..14: the Taylor series of phi2 to rounding for |z| <= 1/2
+_PHI2_TAYLOR = tuple(1.0 / math.factorial(j + 2) for j in range(15))
+
+
+def _sdof_step(omega, zeta, dt):
+    """Exact transition A = (a11, a12, a21, a22) and load matrix
+    B = (b11, b12, b21, b22) of one step, x(dt) = A x(0) + B (f(0), f(dt))
+    for x = (u, u') and f linear over the step, and the denominator
+    (1, -tr A, det A) of its difference equations. With z = lam dt, lam the
+    system's eigenvalue, A is e^z and B's columns dt (phi1 - phi2)(z) and
+    dt phi2(z), phi1 = (e^z - 1)/z and phi2 = (phi1 - 1)/z, each taken as
+    an imaginary part; a Taylor series keeps B exact where omega dt << 1."""
     wd = omega * math.sqrt(1 - zeta ** 2)
-    e = math.exp(-zeta * omega * dt)
-    c, s = math.cos(wd * dt), math.sin(wd * dt)
-    zs = zeta / math.sqrt(1 - zeta ** 2)
-    A = np.array([[e * (c + zs * s), e * s / wd],
-                  [-omega / math.sqrt(1 - zeta ** 2) * e * s, e * (c - zs * s)]])
-    w2, w3 = omega ** 2, omega ** 3
-    B = np.empty((2, 2))
-    for col, (f0, f1) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-        slope = (f1 - f0) / dt
-        # particular solution u_p = (f0 + slope*t)/w^2 - 2 zeta slope / w^3
-        up0 = np.array([f0 / w2 - 2 * zeta * slope / w3, slope / w2])
-        up1 = np.array([f1 / w2 - 2 * zeta * slope / w3, slope / w2])
-        B[:, col] = up1 - A @ up0
-    return A, B
-
-
-def _sdof_filter_coeffs(omega, zeta, dt):
-    """ARMA form of the exact recurrence plus the initial filter state that
-    reproduces u_0 = v_0 = 0 for a forcing with nonzero first sample."""
-    A, B = _sdof_transition(omega, zeta, dt)
-    (a11, a12), (a21, a22) = A
-    (b11, b12), (b21, b22) = B
-    b = np.array([b12, b11 + a12 * b22 - a22 * b12, a12 * b21 - a22 * b11])
-    a = np.array([1.0, -(a11 + a22), a11 * a22 - a12 * a21])
-    return b, a, b11
+    lam = complex(-zeta * omega, wd)
+    z = lam * dt
+    if abs(z) > 0.5:
+        p1 = (cmath.exp(z) - 1) / z
+        p2 = (p1 - 1) / z
+    else:
+        p2 = functools.reduce(lambda acc, c: acc * z + c, _PHI2_TAYLOR[::-1])
+        p1 = 1 + z * p2
+    ez = 1 + z * p1
+    a12 = ez.imag / wd
+    return ((-(lam.conjugate() * ez).imag / wd, a12, -omega ** 2 * a12,
+             (lam * ez).imag / wd),
+            (dt * (p1 - p2).imag / wd, dt * p2.imag / wd,
+             dt * (lam * (p1 - p2)).imag / wd, dt * (lam * p2).imag / wd),
+            (1.0, -2 * ez.real, math.exp(2 * z.real)))
 
 
 MIN_SAMPLES_PER_CYCLE = 32
+_SUB_BLOCK = 1 << 16  # sub-step values computed at once (512 KiB)
 
 
-def _upsample_linear(f, refine):
-    """Insert refine-1 linearly interpolated points per segment (last axis).
-
-    The stored signal is piecewise linear, so this does not change the
-    continuous excitation; it only lets the peak be read more often.
-    """
-    steps = np.arange(refine) / refine
-    seg = f[..., :-1, None] + np.diff(f, axis=-1)[..., None] * steps
-    out = seg.reshape(f.shape[:-1] + ((f.shape[-1] - 1) * refine,))
-    return np.concatenate([out, f[..., -1:]], axis=-1)
+def refine_factor(dt, period):
+    """Points per step at which the peak of `period` is read."""
+    return max(1, math.ceil(MIN_SAMPLES_PER_CYCLE * dt / period))
 
 
 def peak_displacement(accel, dt, period, damping):
     """Peak absolute SDOF relative displacement; accel may be (m,) or (n, m).
-
-    Short periods are integrated on an internal subdivision of the time
-    step so the peak is sampled at least MIN_SAMPLES_PER_CYCLE times per
-    cycle; the recurrence stays exact for the piecewise-linear excitation.
-    """
-    accel = np.atleast_2d(np.asarray(accel, dtype=float))
-    refine = max(1, math.ceil(MIN_SAMPLES_PER_CYCLE * dt / period))
-    f = -accel  # base-excitation sign; irrelevant to the peak magnitude
-    if refine > 1:
-        f = _upsample_linear(f, refine)
-        dt = dt / refine
+    The peak is read at the samples and, for short periods, at
+    refine_factor - 1 exact fractional steps inside each step."""
+    f = -np.atleast_2d(np.asarray(accel, dtype=float))  # sign: irrelevant to the peak
     omega = 2 * math.pi / period
-    b, a, b11 = _sdof_filter_coeffs(omega, damping, dt)
-    zi = np.stack([-b[0] * f[:, 0], (b11 - b[1]) * f[:, 0]], axis=-1)
-    u, _ = lfilter(b, a, f, axis=-1, zi=zi)
-    return np.max(np.abs(u), axis=-1)
+    (a11, a12, a21, a22), (b11, b12, b21, b22), a = _sdof_step(omega, damping, dt)
+    # u and v = u' as difference equations over a, started at u_0 = v_0 = 0
+    bu = (b12, b11 + a12 * b22 - a22 * b12, a12 * b21 - a22 * b11)
+    u = lfilter(bu, a, f, zi=f[:, :1] * [-bu[0], b11 - bu[1]])[0]
+    peak = np.abs(u).max(axis=-1)
+    refine = refine_factor(dt, period)
+    if refine == 1 or f.shape[1] < 2:
+        return peak
+    bv = (b22, b21 + a21 * b12 - a11 * b22, a21 * b11 - a11 * b21)
+    v = lfilter(bv, a, f, zi=f[:, :1] * [-bv[0], b21 - bv[1]])[0]
+    # u(t_k + w dt) = A(w dt) (u_k, v_k) + B(w dt) (f_k, (1 - w) f_k + w f_k+1)
+    coef = []
+    for w in (q / refine for q in range(1, refine)):
+        (s11, s12, _, _), (c11, c12, _, _), _ = _sdof_step(omega, damping, w * dt)
+        coef.append((s11, s12, c11 + c12 * (1 - w), c12 * w))
+    coef = np.array(coef)
+    x = np.stack([u[:, :-1], v[:, :-1], f[:, :-1], f[:, 1:]])  # (4, n, m - 1)
+    rows = max(1, _SUB_BLOCK // ((refine - 1) * x.shape[2]))
+    for i in range(0, x.shape[1], rows):
+        sub = np.abs(coef @ x[:, i:i + rows].reshape(4, -1))
+        peak[i:i + rows] = np.maximum(peak[i:i + rows], sub.reshape(
+            refine - 1, -1, x.shape[2]).max(axis=(0, 2)))
+    return peak
+
+
+def _checked_periods(dt, periods, damping):
+    """The input check of both spectrum entry points; periods as floats."""
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    if not 0 < damping < 1:
+        raise ValueError(f"damping must be in (0, 1), got {damping}")
+    periods = np.asarray(periods, dtype=float)
+    if not np.all(np.isfinite(periods) & (periods > 0)):
+        raise ValueError("periods must be finite and > 0")
+    return periods
 
 
 def compute_sa(accel, dt, periods, damping=0.05):
     """5%-damped (by default) pseudo-acceleration spectrum of one series."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if not 0 < damping < 1:
-        raise ValueError("damping must be in (0, 1)")
-    periods = np.asarray(periods, dtype=float)
-    if np.any(periods <= 0):
-        raise ValueError("periods must be > 0")
-
+    periods = _checked_periods(dt, periods, damping)
     under = periods < 2 * dt
     if np.any(under):
         warnings.warn(f"{int(under.sum())} periods below 2*dt={2 * dt:g} s",
@@ -143,8 +156,8 @@ def compute_sa(accel, dt, periods, damping=0.05):
 
 def batch_sa_matrix(series_matrix, dt, periods, damping=0.05):
     """Sa of every row of an (n, m) matrix; returns (n, n_periods)."""
+    periods = _checked_periods(dt, periods, damping)
     series_matrix = np.asarray(series_matrix, dtype=float)
-    periods = np.asarray(periods, dtype=float)
     out = np.empty((series_matrix.shape[0], periods.size))
     for j, period in enumerate(periods):
         out[:, j] = (2 * math.pi / period) ** 2 * peak_displacement(

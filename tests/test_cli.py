@@ -9,6 +9,7 @@ from stochgm.catalog_io import AccelerogramRecord, parse_manifest
 from stochgm import cli, fc_opt
 from stochgm.cli import main
 from stochgm.gm_model import apply_highpass, highpass_pad
+from stochgm.resp_spectrum import PeriodUnderResolved
 
 
 def synth_record(rec_id, log_ai, d595, t_mid, omega_mid, omega_rate, zeta_f,
@@ -478,3 +479,15 @@ def test_run_log_timing_and_versions(catalog_dir, tmp_path, periods, status):
     assert isinstance(run_log["elapsed_s"], float) and run_log["elapsed_s"] >= 0
     assert set(run_log["versions"]) == {"python", "numpy", "scipy", "stochgm"}
     assert all(isinstance(v, str) and v for v in run_log["versions"].values())
+
+
+@pytest.mark.parametrize("command", ["spectrum", "stats", "sensitivity"])
+def test_run_log_spectra_health(catalog_dir, tmp_path, command):
+    # 12 records at dt = 0.02 s; of the periods 0.03..2 s only 0.03 s is
+    # below 2 dt, and it is read ceil(32 * 0.02 / 0.03) = 22 times per step
+    out = tmp_path / "health"
+    with pytest.warns(PeriodUnderResolved):
+        assert main([command, "--manifest", str(catalog_dir / "manifest.txt"),
+                     "--out", str(out), "--periods", "0.03:2:6"]) == 0
+    result = json.loads((out / "run_log.json").read_text())["result"]
+    assert result["health"] == {"under_resolved_periods": 12, "max_refine": 22}

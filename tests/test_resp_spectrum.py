@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from stochgm import (batch_log_sa, compute_sa, simulate_spectral,
                      standard_period_grid)
 from stochgm.errors import DataError
 from stochgm.gm_model import SimBatch
-from stochgm.resp_spectrum import PeriodUnderResolved, batch_sa_matrix, log_sa
+from stochgm.resp_spectrum import (PeriodUnderResolved, batch_sa_matrix, log_sa,
+                                   peak_displacement)
 
 
 class TestPeriodGrid:
@@ -121,3 +125,77 @@ class TestBatchLogSa:
         for i in range(4):
             np.testing.assert_allclose(
                 m[i], compute_sa(rows[i], 0.01, periods).sa, rtol=1e-12)
+
+
+def upsampled_peak(accel, dt, period, damping):
+    """Reference peak by upsampling: for T < 32 dt the record is
+    interpolated linearly onto ceil(32 dt/T) sub-steps per step and the
+    upsampled copy is filtered with the exact recurrence at the sub-step,
+    its A and B built as 2x2 arrays from the particular solution."""
+    accel = np.atleast_2d(np.asarray(accel, dtype=float))
+    refine = max(1, math.ceil(32 * dt / period))
+    f = -accel
+    if refine > 1:
+        steps = np.arange(refine) / refine
+        seg = f[..., :-1, None] + np.diff(f, axis=-1)[..., None] * steps
+        out = seg.reshape(f.shape[:-1] + ((f.shape[-1] - 1) * refine,))
+        f = np.concatenate([out, f[..., -1:]], axis=-1)
+        dt = dt / refine
+    omega = 2 * math.pi / period
+    wd = omega * math.sqrt(1 - damping ** 2)
+    e = math.exp(-damping * omega * dt)
+    c, s = math.cos(wd * dt), math.sin(wd * dt)
+    zs = damping / math.sqrt(1 - damping ** 2)
+    A = np.array([[e * (c + zs * s), e * s / wd],
+                  [-omega / math.sqrt(1 - damping ** 2) * e * s, e * (c - zs * s)]])
+    w2, w3 = omega ** 2, omega ** 3
+    B = np.empty((2, 2))
+    for col, (f0, f1) in enumerate(((1.0, 0.0), (0.0, 1.0))):
+        slope = (f1 - f0) / dt
+        up0 = np.array([f0 / w2 - 2 * damping * slope / w3, slope / w2])
+        up1 = np.array([f1 / w2 - 2 * damping * slope / w3, slope / w2])
+        B[:, col] = up1 - A @ up0
+    (a11, a12), (a21, a22) = A
+    (b11, b12), (b21, b22) = B
+    b = np.array([b12, b11 + a12 * b22 - a22 * b12, a12 * b21 - a22 * b11])
+    a = np.array([1.0, -(a11 + a22), a11 * a22 - a12 * a21])
+    zi = np.stack([-b[0] * f[:, 0], (b11 - b[1]) * f[:, 0]], axis=-1)
+    u, _ = lfilter(b, a, f, axis=-1, zi=zi)
+    return np.max(np.abs(u), axis=-1)
+
+
+class TestExactKernel:
+    """The peak read at exact fractional steps equals the peak of the
+    upsampled recurrence: both visit the same points."""
+
+    @pytest.mark.parametrize("dt", [0.005, 0.01, 0.02])
+    @pytest.mark.parametrize("zeta", [0.02, 0.05, 0.2])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_matches_upsampled_recurrence(self, base_params, dt, zeta, rows):
+        accel = simulate_spectral(base_params, dt, rows, seed=17).realizations[:, :1500]
+        if rows == 1:
+            accel = accel[0]
+        # 0.5 dt to 10 s, plus T = 2 dt sqrt(1 - zeta^2), where the one-step
+        # displacement-from-velocity gain a12 = e sin(wd dt)/wd vanishes
+        periods = np.append(np.logspace(math.log10(0.5 * dt), 1, 40),
+                            2 * dt * math.sqrt(1 - zeta ** 2))
+        assert np.any(periods < 2 * dt)
+        for period in periods:
+            ref = upsampled_peak(accel, dt, period, zeta)
+            np.testing.assert_allclose(peak_displacement(accel, dt, period, zeta),
+                                       ref, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("call", [
+        lambda a, dt, p, z: compute_sa(a, dt, p, z),
+        lambda a, dt, p, z: batch_sa_matrix(a[None, :], dt, p, z)],
+        ids=["compute_sa", "batch_sa_matrix"])
+    @pytest.mark.parametrize("arg,kwargs", [
+        ("dt", {"dt": -0.01}), ("dt", {"dt": 0.0}), ("dt", {"dt": math.inf}),
+        ("dt", {"dt": math.nan}),
+        ("damping", {"z": 1.0}), ("damping", {"z": 0.0}), ("damping", {"z": math.nan}),
+        ("periods", {"p": [-1.0]}), ("periods", {"p": [0.0, 1.0]}),
+        ("periods", {"p": [1.0, math.inf]}), ("periods", {"p": [math.nan]})])
+    def test_bad_argument_names_it(self, call, arg, kwargs):
+        args = {"dt": 0.01, "p": [0.5, 1.0], "z": 0.05} | kwargs
+        with pytest.raises(ValueError, match=arg):
+            call(np.sin(np.linspace(0, 10, 200)), args["dt"], args["p"], args["z"])
