@@ -35,9 +35,9 @@ log = logging.getLogger("stochgm")
 DEFAULT_SEED = 20240715
 CORR_PANEL_T2 = (0.1, 0.5, 1.0, 4.0)
 # realizations x padded samples of one record's simulation (--n or --mc):
-# 128 MiB per float64 array; the engines hold about five (n, m) arrays and
-# the high-pass two (n, m + pad). Its square root caps the --periods COUNT,
-# which sets the side of the COUNT x COUNT correlation matrices
+# 128 MiB per float64 array; the engines peak at about four (n, m) arrays
+# and the high-pass at two (n, m + pad). Its square root caps the --periods
+# COUNT, which sets the side of the COUNT x COUNT correlation matrices
 MAX_SIM_ELEMENTS = 2 ** 24
 
 
@@ -235,7 +235,8 @@ def cmd_simulate(args):
                    [(i, f"{ai[i]:.6g}", f"{pga[i]:.6g}") for i in range(len(ai))])
         return {"id": rec.id, "mean_ai": float(ai.mean()),
                 "mean_pga": float(pga.mean()),
-                "sigma_floor_hits": batch.sigma_floor_hits}
+                "sigma_floor_hits": batch.sigma_floor_hits,
+                "omega_nodes": batch.omega_nodes}
 
     return {"batches": _per_record(one, catalog.records), "engine": args.engine,
             "n": args.n}
@@ -282,7 +283,8 @@ def cmd_fit_fc(args):
     return {"fc_star": {rid: res.fc_star for rid, res in results.items()},
             "search": {rid: {"evals": res.evals, "fallback": res.fallback,
                              "fc_on_edge": res.fc_on_edge}
-                       for rid, res in results.items()}}
+                       for rid, res in results.items()},
+            "omega_nodes": {rid: res.omega_nodes for rid, res in results.items()}}
 
 
 def _stats_outputs(tag, spectra, periods, out_dir):

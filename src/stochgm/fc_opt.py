@@ -70,11 +70,13 @@ class FcSearchConfig:
 @dataclass(frozen=True)
 class FcResult:
     """fc_grid/epsilon_curve hold the evaluated candidates in ascending fc;
-    fallback is True when the whole grid was evaluated."""
+    fallback is True when the whole grid was evaluated; omega_nodes is the
+    Monte Carlo batch's SimBatch.omega_nodes."""
     fc_star: float
     fc_grid: np.ndarray
     epsilon_curve: np.ndarray
     fallback: bool = True
+    omega_nodes: int = 1
 
     @property
     def evals(self):
@@ -151,4 +153,4 @@ def optimize_fc(record, params_no_fc, config=FcSearchConfig(), engine="spectral"
     curve = np.abs([signed[i] for i in idx])
     fc_star = float(grid[idx[int(np.argmin(curve))]])  # argmin takes the first tie
     return FcResult(fc_star=fc_star, fc_grid=grid[idx], epsilon_curve=curve,
-                    fallback=fallback)
+                    fallback=fallback, omega_nodes=batch.omega_nodes)

@@ -9,27 +9,36 @@ Both engines build the same pre-filter process X3:
 2. exact pointwise normalization X2 = X1 / sigma_X1(t);
 3. gamma-type envelope X3 = q(t) * X2.
 
+Both engines interpolate the oscillator in omega at p Chebyshev nodes
+(_omega_nodes) and run one exact recursion (temporal) or one inverse FFT
+(spectral) per node: O(p * n * m) work, O(n * m + p * K) memory, and no
+BLAS call, so the bits do not depend on the BLAS thread count.
+
 The high-pass stage (critically damped oscillator, corner frequency fc) is
 kept separate so an fc search can reuse one X3 batch. It is one two-pole
 recursion (scipy.signal.lfilter) over the zero-padded batch, so it holds
 O(n * (m + pad)) memory and no filter kernel.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.signal import lfilter
+from scipy.signal import lfilter, sosfilt
 from scipy.special import gammainc, gammaincinv, gammaln
 
 from .catalog_io import G_ACCEL, PARAM_KEYS
 from .errors import DataError, NumericalError
 
 SIGMA_FLOOR_REL = 1e-6  # below this fraction of max sigma, X2 is set to 0
-# elements per row block of the engines' (rows x m) or (rows x K) matrices:
-# 8 MiB per float64 temporary, so engine memory is O(BLOCK_ELEMENTS + n*m)
-BLOCK_ELEMENTS = 2 ** 20
+# target Chebyshev tail of the engines' interpolation in omega, relative
+NODE_TOL = 1e-14
+# elements per (rows x m) temporary of the engines' row chunks (512 KiB).
+# Whole (n, m) temporaries made the engines 1.3-1.6x slower at n = 1000,
+# m = 6001, and raised their peak from 4 to 5-6 (n, m) arrays
+CHUNK_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -98,8 +107,10 @@ class SimBatch:
     """n realizations of one parameter set; rows are realizations (m/s^2).
 
     sigma_floor_hits counts the time samples whose X2 the engine zeroed
-    because sigma_X1 was at or below SIGMA_FLOOR_REL of its maximum; it is
-    a run diagnostic and is not stored by save_npz.
+    because sigma_X1 was at or below SIGMA_FLOOR_REL of its maximum, and
+    omega_nodes the interpolation nodes in omega the engine used (1 for a
+    constant filter frequency); both are run diagnostics and are not
+    stored by save_npz.
     """
 
     realizations: np.ndarray  # (n, m)
@@ -108,6 +119,7 @@ class SimBatch:
     params: GMParams
     domain_tag: str  # "temporal" | "spectral"
     sigma_floor_hits: int = 0
+    omega_nodes: int = 1
 
     def save_npz(self, path):
         """Columnar binary container, stored uncompressed (float64 noise
@@ -240,53 +252,119 @@ def _normalize_and_modulate(x1, sigma, q):
     return q[:, None] * x2
 
 
-def _row_blocks(m, width):
-    """[i0, i1) spans of output-time rows; a block holds at most
-    BLOCK_ELEMENTS elements per (rows x width) matrix, whatever n is."""
-    rows = max(1, BLOCK_ELEMENTS // width)
-    return [(i0, min(i0 + rows, m)) for i0 in range(0, m, rows)]
+def _omega_nodes(omega, zeta):
+    """Nodes in omega and their barycentric weights (Berrut & Trefethen
+    2004): p Chebyshev points of the second kind on [lo, hi] = [min omega,
+    max omega]. Both kernels, h(tau; w) for every tau >= 0 and |H(w_k; w)|
+    (branch points at w_k*(sqrt(1-zeta^2) +- i*zeta)), are bounded inside
+    the cone |Im w| < zeta/sqrt(1-zeta^2) * Re w. The largest Bernstein
+    ellipse of [lo, hi] in it has sinh(eta) = 2*zeta*sqrt(lo*hi)/(hi - lo),
+    so the error falls as exp(-eta*p): p = ceil(ln(1/NODE_TOL) / eta) + 1,
+    1 for a constant omega. Where p reaches the count of distinct omega
+    values, those values are the nodes and the interpolant is exact."""
+    lo, hi = float(omega.min()), float(omega.max())
+    if hi == lo:
+        return np.array([lo]), np.ones(1)
+    eta = math.asinh(2 * zeta * math.sqrt(lo * hi) / (hi - lo))
+    p = math.ceil(math.log(1 / NODE_TOL) / eta) + 1
+    distinct = np.unique(omega)
+    if p >= distinct.size:
+        return distinct, np.ones(distinct.size)
+    x = np.cos(math.pi * np.arange(p) / (p - 1))
+    weights = (-1.0) ** np.arange(p)
+    weights[[0, -1]] /= 2
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, weights
+
+
+def _lagrange(omega, nodes, weights):
+    """The barycentric Lagrange basis as a function of the node index p:
+    l_p(omega) (m,), exactly 1 or 0 where omega equals a node."""
+    with np.errstate(divide="ignore"):  # infinite terms at the nodes
+        den = sum(w / (omega - x) for x, w in zip(nodes, weights))
+
+    def basis(p):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ell = weights[p] / (omega - nodes[p]) / den
+        ell[omega == nodes[p]] = 1.0
+        return ell
+
+    return basis
+
+
+def _row_chunks(n, m):
+    """Row spans of an (n, m) batch whose per-node temporaries hold at most
+    CHUNK_ELEMENTS: they stay in cache and the allocator reuses them."""
+    rows = max(1, CHUNK_ELEMENTS // m)
+    return [slice(r0, r0 + rows) for r0 in range(0, n, rows)]
 
 
 def _temporal_x1(params, t, dt, z):
     """X1 (m, n) and sigma_X1 (m,) of the time-domain engine from the
-    noise z (n, m). Row i of the impulse-response matrix h[i, j] (response
-    at t_i to the increment at t_j, filter frozen at t_j) is causal, so row
-    block [i0, i1) needs only columns [0, i1)."""
+    noise z (n, m), the oscillator frozen at the excitation time t_j.
+
+    h(tau; w_j) = sum_p l_p(w_j) h(tau; w_p), and node p's sampled
+    response h(k*dt; w_p) = c Im(lam^k), c = w_p/sqrt(1-zeta^2), lam =
+    exp((-zeta + i*sqrt(1-zeta^2))*w_p*dt), is one complex pole run over
+    l_p(w_j)*z_j*sqrt(dt). The real pair (1, -2 Re lam, |lam|^2) would move
+    the pole angle by eps/(w_p*dt) in rounding, a drift of 1.2e-12 of
+    max|x1| at w*dt = 0.01. h^2(k*dt; w_p) = c^2 rho^k sin^2(k*theta),
+    rho = |lam|^2, theta = arg lam, is the cascade c^2 rho sin^2(theta)
+    (z^-1 + rho z^-2) / ((1 - rho/z)(1 - lam^2/z)(1 - conj(lam)^2/z)) run
+    over l_p; the difference rho^k - Re lam^2k would lose eps/theta^2 at
+    short lags. h(0) = 0, so sigma is exactly 0 at t = 0."""
     omega = params.omega_at(t)  # filter parameters frozen at excitation time
     zeta = params.zeta_f
     sq = math.sqrt(1 - zeta ** 2)
-    zs = z.T * math.sqrt(dt)  # (m, n)
-    x1 = np.empty((t.size, z.shape[0]))
-    sigma = np.empty(t.size)
-    for i0, i1 in _row_blocks(t.size, t.size):
-        lag = t[i0:i1, None] - t[None, :i1]
-        np.clip(lag, 0.0, None, out=lag)  # h = 0 for lag <= 0: sin(0) = 0
-        w = omega[:i1]
-        h = (w / sq) * np.exp(-zeta * w * lag) * np.sin(w * sq * lag)
-        sigma[i0:i1] = np.sqrt((h ** 2).sum(axis=1) * dt)
-        x1[i0:i1] = h @ zs[:i1]
-    return x1, sigma
+    nodes, weights = _omega_nodes(omega, zeta)
+    basis = _lagrange(omega, nodes, weights)
+    x1 = np.zeros(z.shape)
+    var = np.zeros(t.size)
+    for p, w in enumerate(nodes):
+        ell = basis(p)
+        lam = cmath.exp(complex(-zeta, sq) * w * dt)
+        sos = [[math.sqrt(dt) * w / sq, 0.0, 0.0, 1.0, -lam, 0.0]]
+        for rows in _row_chunks(*z.shape):
+            x1[rows] += sosfilt(sos, ell * z[rows], axis=-1).imag
+        rho, mu = abs(lam) ** 2, lam * lam
+        g = dt * (w / sq) ** 2 * rho * math.sin(w * sq * dt) ** 2
+        var += sosfilt([[0.0, g, g * rho, 1.0, -rho, 0.0],
+                        [1.0, 0.0, 0.0, 1.0, -mu, 0.0],
+                        [1.0, 0.0, 0.0, 1.0, -mu.conjugate(), 0.0]], ell).real
+    return x1.T, np.sqrt(np.maximum(var, 0.0))
 
 
 def _spectral_x1(params, t, dt, ab):
     """X1 (m, n) and sigma_X1 (m,) of the spectral engine from the noise
-    ab (n, 2, K): cosine and sine amplitudes at w_k = k * dw, k = 1..K."""
-    big_k = ab.shape[2]
+    ab (n, 2, K): cosine and sine amplitudes at w_k = k * dw, k = 1..K,
+    the oscillator frozen at the output time t_i.
+
+    |H(w_k; w_i)| = sum_p l_p(w_i) |H(w_k; w_p)| and w_k*t_i = pi*k*i/K,
+    so each node is one inverse FFT of length 2K, periodic in i. Its
+    Nyquist bin holds 2*a_K: the sine term vanishes there, and irfft weighs
+    that bin once. sigma^2 interpolates 2*dw*sum_k |H(w_k; w_p)|^2."""
+    n, _, big_k = ab.shape
+    m = t.size
     dw = math.pi / (dt * big_k)
-    w = dw * np.arange(1, big_k + 1)
+    w = dw * np.arange(big_k + 1)  # bin 0 carries no noise
     omega = params.omega_at(t)
     zeta = params.zeta_f
-    a, b = ab[:, 0, :].T, ab[:, 1, :].T
-    x1 = np.empty((t.size, ab.shape[0]))
-    sigma = np.empty(t.size)
-    for i0, i1 in _row_blocks(t.size, big_k):
-        om = omega[i0:i1, None]
+    nodes, weights = _omega_nodes(omega, zeta)
+    basis = _lagrange(omega, nodes, weights)
+    coef = np.zeros((n, big_k + 1), dtype=complex)
+    coef[:, 1:] = (ab[:, 0, :] - 1j * ab[:, 1, :]) * (big_k * math.sqrt(2 * dw))
+    coef[:, -1] = 2 * coef[:, -1].real
+    x1 = np.zeros((n, m))
+    var = np.zeros(m)
+    for p, om in enumerate(nodes):
+        ell = basis(p)
         mag = om ** 2 / np.sqrt((om ** 2 - w ** 2) ** 2 + (2 * zeta * om * w) ** 2)
-        sigma[i0:i1] = np.sqrt((mag ** 2).sum(axis=1) * 2 * dw)
-        phase = w * t[i0:i1, None]
-        x1[i0:i1] = (mag * np.cos(phase) * math.sqrt(2 * dw)) @ a \
-            + (mag * np.sin(phase) * math.sqrt(2 * dw)) @ b
-    return x1, sigma
+        var += ell * (2 * dw * (mag[1:] ** 2).sum())
+        for rows in _row_chunks(n, m):
+            y = np.fft.irfft(coef[rows] * mag, n=2 * big_k, axis=-1)
+            for i0 in range(0, m, 2 * big_k):  # m <= 2K + 1: one wrapped sample
+                i1 = min(m, i0 + 2 * big_k)
+                x1[rows, i0:i1] += ell[i0:i1] * y[:, :i1 - i0]
+    return x1.T, np.sqrt(var)
 
 
 def _batch(params, t, dt, seed, x1, sigma, domain_tag):
@@ -295,7 +373,8 @@ def _batch(params, t, dt, seed, x1, sigma, domain_tag):
     x3 = _normalize_and_modulate(x1, sigma, q)
     return SimBatch(realizations=np.ascontiguousarray(x3.T), dt=dt, seed=seed,
                     params=params, domain_tag=domain_tag,
-                    sigma_floor_hits=int(t.size - _sigma_ok(sigma).sum()))
+                    sigma_floor_hits=int(t.size - _sigma_ok(sigma).sum()),
+                    omega_nodes=_omega_nodes(params.omega_at(t), params.zeta_f)[0].size)
 
 
 def simulate_temporal(params, dt, n, seed):

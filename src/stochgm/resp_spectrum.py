@@ -102,13 +102,15 @@ def peak_displacement(accel, dt, period, damping):
     """Peak absolute SDOF relative displacement; accel may be (m,) or (n, m).
     The peak is read at the samples and, for short periods, at
     refine_factor - 1 exact fractional steps inside each step."""
-    f = -np.atleast_2d(np.asarray(accel, dtype=float))  # sign: irrelevant to the peak
+    # u of -accel is exactly -u of accel, so the peak reads accel as given
+    f = np.atleast_2d(np.asarray(accel, dtype=float))
     omega = 2 * math.pi / period
     (a11, a12, a21, a22), (b11, b12, b21, b22), a = _sdof_step(omega, damping, dt)
     # u and v = u' as difference equations over a, started at u_0 = v_0 = 0
     bu = (b12, b11 + a12 * b22 - a22 * b12, a12 * b21 - a22 * b11)
     u = lfilter(bu, a, f, zi=f[:, :1] * [-bu[0], b11 - bu[1]])[0]
-    peak = np.abs(u).max(axis=-1)
+    # max |u| without an |u| temporary; abs keeps a zero peak at +0
+    peak = np.abs(np.maximum(u.max(axis=-1), -u.min(axis=-1)))
     refine = refine_factor(dt, period)
     if refine == 1 or f.shape[1] < 2:
         return peak
@@ -129,8 +131,9 @@ def peak_displacement(accel, dt, period, damping):
     return peak
 
 
-def _checked_periods(dt, periods, damping):
-    """The input check of both spectrum entry points; periods as floats."""
+def _checked_periods(dt, periods, damping, increasing=False):
+    """The input check of both spectrum entry points; periods as floats,
+    strictly increasing if asked (compute_sa's ResponseSpectrum needs it)."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be finite and > 0, got {dt}")
     if not 0 < damping < 1:
@@ -138,12 +141,14 @@ def _checked_periods(dt, periods, damping):
     periods = np.asarray(periods, dtype=float)
     if not np.all(np.isfinite(periods) & (periods > 0)):
         raise ValueError("periods must be finite and > 0")
+    if increasing and np.any(np.diff(periods) <= 0):
+        raise ValueError("periods must be strictly increasing")
     return periods
 
 
 def compute_sa(accel, dt, periods, damping=0.05):
     """5%-damped (by default) pseudo-acceleration spectrum of one series."""
-    periods = _checked_periods(dt, periods, damping)
+    periods = _checked_periods(dt, periods, damping, increasing=True)
     under = periods < 2 * dt
     if np.any(under):
         warnings.warn(f"{int(under.sum())} periods below 2*dt={2 * dt:g} s",

@@ -151,6 +151,24 @@ def test_simulate_engines_agree_on_ai(catalog_dir, tmp_path):
     assert diff < 2.5 * se
 
 
+def test_run_log_omega_nodes(catalog_dir, tmp_path):
+    # the engines' interpolation nodes in omega, per batch: 1 for the entry
+    # with a constant filter frequency (omega_rate = 0)
+    manifest = edited_manifest(catalog_dir, tmp_path / "m.txt",
+                               {"omega_rate": "0.0"}, keep=4)
+    nodes = {}
+    for sub, flags in (("simulate", ["--n", "2"]),
+                       ("fit-fc", ["--mc", "2", "--fc-grid", "0.1:0.3:0.1"])):
+        out = tmp_path / sub
+        assert main([sub, "--manifest", manifest, "--out", str(out)] + flags) == 0
+        result = json.loads((out / "run_log.json").read_text())["result"]
+        nodes[sub] = ({b["id"]: b["omega_nodes"] for b in result["batches"]}
+                      if sub == "simulate" else result["omega_nodes"])
+    assert nodes["simulate"] == nodes["fit-fc"]
+    assert nodes["simulate"]["rec03"] == 1
+    assert all(1 < p < 100 for rid, p in nodes["simulate"].items() if rid != "rec03")
+
+
 def test_spectrum(catalog_dir, tmp_path):
     out = tmp_path / "spec"
     assert main(["spectrum", "--manifest", str(catalog_dir / "manifest.txt"),

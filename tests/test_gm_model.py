@@ -88,6 +88,26 @@ class TestEngines:
             b2 = engine(base_params, sim_dt, 8, seed=3)
             np.testing.assert_array_equal(b1.realizations, b2.realizations[:4])
 
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # the engines make no BLAS call (no matrix product), so a seed gives
+        # the same bits under any OpenBLAS thread count
+        probe = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from stochgm import GMParams, simulate_spectral, simulate_temporal
+            p = GMParams(np.log(0.5), 10.0, 5.0, 15.0, -0.2, 0.3, 40.0)
+            for engine in (simulate_temporal, simulate_spectral):
+                x = engine(p, 0.01, 100, seed=3).realizations
+                print(hashlib.sha256(x.tobytes()).hexdigest())
+        """)
+        src = str(Path(gm_model.__file__).resolve().parents[1])
+        digests = [subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True,
+            timeout=300, check=True,
+            env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")]
+        assert digests[0].count("\n") == 2 and digests[0] == digests[1]
+
     def test_sigma_floor_hits(self, base_params, sim_dt):
         # the temporal engine's sigma is exactly 0 at t = 0 (no increment
         # has arrived yet); the spectral engine's is positive everywhere
@@ -172,26 +192,20 @@ def dense_spectral_x1(params, t, dt, ab):
 
 
 class TestBlockedEngines:
-    # 7000 elements: 5 rows per temporal block and 11 per spectral block
-    # at m = 1251, K = 625, both with a ragged last block
-    BLOCK = 7000
-
+    # the engines interpolate the oscillator in omega at Chebyshev nodes;
+    # the dense references build every frozen kernel exactly
     @pytest.mark.parametrize("engine,x1_fn,dense_fn,noise_shape", [
         (simulate_temporal, "_temporal_x1", dense_temporal_x1,
          lambda m, big_k: (m,)),
         (simulate_spectral, "_spectral_x1", dense_spectral_x1,
          lambda m, big_k: (2, big_k)),
     ], ids=["temporal", "spectral"])
-    def test_blocked_matches_dense(self, monkeypatch, base_params, sim_dt,
+    def test_blocked_matches_dense(self, base_params, sim_dt,
                                    engine, x1_fn, dense_fn, noise_shape):
-        monkeypatch.setattr(gm_model, "BLOCK_ELEMENTS", self.BLOCK)
         t = gm_model._time_grid(base_params, sim_dt)
         m = t.size
         big_k = math.ceil(base_params.t_total / (2 * sim_dt))
         z = gm_model._noise_matrix(7, 6, noise_shape(m, big_k))
-        width = z.shape[-1]
-        blocks = gm_model._row_blocks(m, width)
-        assert len(blocks) > 2 and blocks[-1][1] - blocks[-1][0] < blocks[0][1]
 
         x1, sigma = getattr(gm_model, x1_fn)(base_params, t, sim_dt, z)
         x1_ref, sigma_ref = dense_fn(base_params, t, sim_dt, z)
@@ -208,8 +222,8 @@ class TestBlockedEngines:
     def test_memory_bound(self, engine):
         # m = 12001 (60 s at 0.005 s), n = 4. Built whole, the temporal
         # engine's lag and h are 2 x 12001^2 x 8 B = 2.3 GB and the spectral
-        # engine's four 12001 x 6000 arrays are 2.3 GB; blocked, the peak
-        # is the interpreter, numpy and a few 8 MiB blocks
+        # engine's four 12001 x 6000 arrays are 2.3 GB; interpolated in
+        # omega, the peak is the interpreter, numpy and a few (n, m) arrays
         probe = textwrap.dedent(f"""
             import numpy as np
             from stochgm import GMParams, {engine}

@@ -1,13 +1,15 @@
 """Property tests of the simulation model: the modulator fit reproduces its
-energy targets, and the high-pass brings every motion to rest."""
+energy targets, both engines match their dense references, and the
+high-pass brings every motion to rest."""
 
 import math
 
 import numpy as np
 import pytest
 
-from stochgm import gm_model, highpass, solve_modulator
-from test_gm_model import measure_q2_targets
+from stochgm import (GMParams, gm_model, highpass, simulate_spectral,
+                     simulate_temporal, solve_modulator)
+from test_gm_model import dense_spectral_x1, dense_temporal_x1, measure_q2_targets
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -41,3 +43,46 @@ def test_highpass_comes_to_rest(fc, dt, m, n, seed):
     disp = np.cumsum(vel, axis=1) * dt
     assert np.all(np.abs(vel[:, -1]) <= 1e-3 * np.abs(vel).max(axis=1))
     assert np.all(np.abs(disp[:, -1]) <= 1e-3 * np.abs(disp).max(axis=1))
+
+
+@st.composite
+def filter_params(draw):
+    """A parameter set of at most 501 samples whose filter frequency is
+    constant, spans a wide range, or comes close to its floor 0 at one end
+    of the record; dt keeps omega_max*dt < 0.5."""
+    dt = draw(st.sampled_from([0.005, 0.01, 0.02]))
+    t_total = (draw(st.integers(10, 500))) * dt
+    s = t_total / 25.0
+    w_hi = draw(st.floats(2.0, min(30.0, 0.45 / dt)))
+    w_lo = draw(st.one_of(st.just(w_hi), st.floats(0.1, 1.0),
+                          st.floats(1.0, w_hi)))
+    w_start, w_end = (w_lo, w_hi) if draw(st.booleans()) else (w_hi, w_lo)
+    t_mid = draw(st.floats(4.0, 5.5)) * s
+    rate = (w_end - w_start) / t_total
+    return GMParams(log_ai=math.log(0.5), d595=draw(st.floats(8.0, 12.0)) * s,
+                    t_mid=t_mid, omega_mid=w_start + rate * t_mid, omega_rate=rate,
+                    zeta_f=draw(st.floats(0.05, 0.9)), t_total=t_total), dt
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=filter_params(), n=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+def test_engines_match_dense(case, n, seed):
+    """Both engines within 1e-12 of max of the dense references on X1,
+    sigma_X1 and the realizations; a constant omega takes one node."""
+    params, dt = case
+    t = gm_model._time_grid(params, dt)
+    big_k = math.ceil(params.t_total / (2 * dt))
+    q = solve_modulator(params.log_ai, params.d595, params.t_mid, params.t_total)(t)
+    for engine, x1_fn, dense_fn, shape in (
+            (simulate_temporal, "_temporal_x1", dense_temporal_x1, (t.size,)),
+            (simulate_spectral, "_spectral_x1", dense_spectral_x1, (2, big_k))):
+        z = gm_model._noise_matrix(seed, n, shape)
+        x1, sigma = getattr(gm_model, x1_fn)(params, t, dt, z)
+        x1_ref, sigma_ref = dense_fn(params, t, dt, z)
+        assert np.abs(x1 - x1_ref).max() <= 1e-12 * np.abs(x1_ref).max()
+        assert np.abs(sigma - sigma_ref).max() <= 1e-12 * sigma_ref.max()
+
+        batch = engine(params, dt, n, seed)
+        ref = gm_model._normalize_and_modulate(x1_ref, sigma_ref, q).T
+        assert np.abs(batch.realizations - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert batch.omega_nodes == 1 or params.omega_rate != 0

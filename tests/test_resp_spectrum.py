@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from stochgm import (batch_log_sa, compute_sa, simulate_spectral,
+from stochgm import (batch_log_sa, compute_sa, resp_spectrum, simulate_spectral,
                      standard_period_grid)
 from stochgm.errors import DataError
 from stochgm.gm_model import SimBatch
@@ -199,3 +199,14 @@ class TestExactKernel:
         args = {"dt": 0.01, "p": [0.5, 1.0], "z": 0.05} | kwargs
         with pytest.raises(ValueError, match=arg):
             call(np.sin(np.linspace(0, 10, 200)), args["dt"], args["p"], args["z"])
+
+    @pytest.mark.parametrize("periods", [[0.5, 2.0, 1.0], [1.0, 1.0], [3.0, 2.0]])
+    def test_order_checked_before_any_work(self, monkeypatch, periods):
+        # compute_sa refuses periods that are not strictly increasing before
+        # it runs the kernel for any of them
+        calls = []
+        monkeypatch.setattr(resp_spectrum, "peak_displacement",
+                            lambda *a, **k: calls.append(a) or np.zeros(1))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            compute_sa(np.sin(np.linspace(0, 10, 200)), 0.01, periods)
+        assert calls == []
