@@ -136,7 +136,7 @@ def parse_at2(raw_text):
 
 
 def write_at2(record):
-    """Serialize a record (in g) to AT2 text, 7 significant digits, 5/line."""
+    """Serialize a record to AT2 text in g: dt by repr, 7 significant digits, 5/line."""
     rec = record
     if rec.unit != "g":
         rec = replace(rec, accel=rec.accel / G_ACCEL, unit="g")
@@ -144,7 +144,7 @@ def write_at2(record):
         rec.id,
         "stochgm export",
         "ACCELERATION TIME SERIES IN UNITS OF G",
-        f"NPTS= {rec.npts:6d}, DT= {rec.dt:10.5f}  SEC",
+        f"NPTS= {rec.npts:6d}, DT= {float(rec.dt)!r}  SEC",
     ]
     # as "{v:15.7e}", but a negative 3-digit exponent cannot fuse values
     vals = [f" {v:14.7e}" for v in rec.accel]

@@ -35,9 +35,9 @@ log = logging.getLogger("stochgm")
 DEFAULT_SEED = 20240715
 CORR_PANEL_T2 = (0.1, 0.5, 1.0, 4.0)
 # realizations x padded samples of one record's simulation (--n or --mc):
-# 128 MiB per float64 array; the engines peak at about four (n, m) arrays
-# and the high-pass at two (n, m + pad). Its square root caps the --periods
-# COUNT, which sets the side of the COUNT x COUNT correlation matrices
+# 128 MiB per float64 array; the engines peak at 2.3 (n, m) arrays (temporal)
+# and 3.3 (spectral), the high-pass at two (n, m + pad). Its square root caps
+# the --periods COUNT, the side of the COUNT x COUNT correlation matrices
 MAX_SIM_ELEMENTS = 2 ** 24
 
 

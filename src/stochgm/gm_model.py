@@ -37,7 +37,7 @@ SIGMA_FLOOR_REL = 1e-6  # below this fraction of max sigma, X2 is set to 0
 NODE_TOL = 1e-14
 # elements per (rows x m) temporary of the engines' row chunks (512 KiB).
 # Whole (n, m) temporaries made the engines 1.3-1.6x slower at n = 1000,
-# m = 6001, and raised their peak from 4 to 5-6 (n, m) arrays
+# m = 6001, and raised their peak by 1-2 (n, m) arrays
 CHUNK_ELEMENTS = 2 ** 16
 
 
@@ -240,16 +240,14 @@ def _check_dt(params, dt):
             f"omega_max*dt = {params.omega_max * dt:.3f} >= 0.5; reduce dt")
 
 
-def _sigma_ok(sigma):
-    return sigma > SIGMA_FLOOR_REL * sigma.max()
-
-
 def _normalize_and_modulate(x1, sigma, q):
-    """Steps 2-3 shared by both engines; x1 has shape (m, n)."""
-    x2 = np.zeros_like(x1)
-    ok = _sigma_ok(sigma)
-    x2[ok] = x1[ok] / sigma[ok, None]
-    return q[:, None] * x2
+    """Steps 2-3 of both engines in place on x1 (n, m): x1 / sigma, 0 where
+    sigma <= SIGMA_FLOOR_REL * max(sigma), then * q; and that floor's count."""
+    ok = sigma > SIGMA_FLOOR_REL * sigma.max()
+    np.divide(x1, sigma, out=x1, where=ok)
+    x1[:, ~ok] = 0.0
+    x1 *= q
+    return x1, int(ok.size - np.count_nonzero(ok))
 
 
 def _omega_nodes(omega, zeta):
@@ -299,8 +297,8 @@ def _row_chunks(n, m):
 
 
 def _temporal_x1(params, t, dt, z):
-    """X1 (m, n) and sigma_X1 (m,) of the time-domain engine from the
-    noise z (n, m), the oscillator frozen at the excitation time t_j.
+    """X1 (n, m), sigma_X1 (m,) and node count p of the time-domain engine
+    from the noise z (n, m), the oscillator frozen at the excitation time t_j.
 
     h(tau; w_j) = sum_p l_p(w_j) h(tau; w_p), and node p's sampled
     response h(k*dt; w_p) = c Im(lam^k), c = w_p/sqrt(1-zeta^2), lam =
@@ -330,13 +328,13 @@ def _temporal_x1(params, t, dt, z):
         var += sosfilt([[0.0, g, g * rho, 1.0, -rho, 0.0],
                         [1.0, 0.0, 0.0, 1.0, -mu, 0.0],
                         [1.0, 0.0, 0.0, 1.0, -mu.conjugate(), 0.0]], ell).real
-    return x1.T, np.sqrt(np.maximum(var, 0.0))
+    return x1, np.sqrt(np.maximum(var, 0.0)), nodes.size
 
 
 def _spectral_x1(params, t, dt, ab):
-    """X1 (m, n) and sigma_X1 (m,) of the spectral engine from the noise
-    ab (n, 2, K): cosine and sine amplitudes at w_k = k * dw, k = 1..K,
-    the oscillator frozen at the output time t_i.
+    """X1 (n, m), sigma_X1 (m,) and node count p of the spectral engine from
+    the noise ab (n, 2, K): cosine and sine amplitudes at w_k = k * dw,
+    k = 1..K, the oscillator frozen at the output time t_i.
 
     |H(w_k; w_i)| = sum_p l_p(w_i) |H(w_k; w_p)| and w_k*t_i = pi*k*i/K,
     so each node is one inverse FFT of length 2K, periodic in i. Its
@@ -350,8 +348,10 @@ def _spectral_x1(params, t, dt, ab):
     zeta = params.zeta_f
     nodes, weights = _omega_nodes(omega, zeta)
     basis = _lagrange(omega, nodes, weights)
-    coef = np.zeros((n, big_k + 1), dtype=complex)
-    coef[:, 1:] = (ab[:, 0, :] - 1j * ab[:, 1, :]) * (big_k * math.sqrt(2 * dw))
+    coef = np.zeros((n, big_k + 1), dtype=complex)  # (a - i*b) * scale
+    scale = big_k * math.sqrt(2 * dw)
+    np.multiply(ab[:, 0, :], scale, out=coef.real[:, 1:])
+    np.multiply(ab[:, 1, :], -scale, out=coef.imag[:, 1:])
     coef[:, -1] = 2 * coef[:, -1].real
     x1 = np.zeros((n, m))
     var = np.zeros(m)
@@ -364,17 +364,15 @@ def _spectral_x1(params, t, dt, ab):
             for i0 in range(0, m, 2 * big_k):  # m <= 2K + 1: one wrapped sample
                 i1 = min(m, i0 + 2 * big_k)
                 x1[rows, i0:i1] += ell[i0:i1] * y[:, :i1 - i0]
-    return x1.T, np.sqrt(var)
+    return x1, np.sqrt(var), nodes.size
 
 
-def _batch(params, t, dt, seed, x1, sigma, domain_tag):
-    """Steps 2-3 on X1, packed as a SimBatch of rows = realizations."""
+def _batch(params, t, dt, seed, domain_tag, x1, sigma, p):
+    """Steps 2-3 on X1 (n, m) in place, packed as a SimBatch."""
     q = solve_modulator(params.log_ai, params.d595, params.t_mid, params.t_total)(t)
-    x3 = _normalize_and_modulate(x1, sigma, q)
-    return SimBatch(realizations=np.ascontiguousarray(x3.T), dt=dt, seed=seed,
-                    params=params, domain_tag=domain_tag,
-                    sigma_floor_hits=int(t.size - _sigma_ok(sigma).sum()),
-                    omega_nodes=_omega_nodes(params.omega_at(t), params.zeta_f)[0].size)
+    x3, floor_hits = _normalize_and_modulate(x1, sigma, q)
+    return SimBatch(realizations=x3, dt=dt, seed=seed, params=params, domain_tag=domain_tag,
+                    sigma_floor_hits=floor_hits, omega_nodes=p)
 
 
 def simulate_temporal(params, dt, n, seed):
@@ -382,8 +380,8 @@ def simulate_temporal(params, dt, n, seed):
     frozen-parameter oscillator impulse response, then Steps 2-3."""
     _check_dt(params, dt)
     t = _time_grid(params, dt)
-    x1, sigma = _temporal_x1(params, t, dt, _noise_matrix(seed, n, (t.size,)))
-    return _batch(params, t, dt, seed, x1, sigma, "temporal")
+    return _batch(params, t, dt, seed, "temporal",
+                  *_temporal_x1(params, t, dt, _noise_matrix(seed, n, (t.size,))))
 
 
 def simulate_spectral(params, dt, n, seed):
@@ -393,8 +391,8 @@ def simulate_spectral(params, dt, n, seed):
     t = _time_grid(params, dt)
     # K * dw = pi/dt with dw <= 2*pi/t_total
     big_k = int(math.ceil(params.t_total / (2 * dt)))
-    x1, sigma = _spectral_x1(params, t, dt, _noise_matrix(seed, n, (2, big_k)))
-    return _batch(params, t, dt, seed, x1, sigma, "spectral")
+    return _batch(params, t, dt, seed, "spectral",
+                  *_spectral_x1(params, t, dt, _noise_matrix(seed, n, (2, big_k))))
 
 
 def simulate(params, dt, n, seed, engine="spectral"):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -172,7 +173,7 @@ def dense_temporal_x1(params, t, dt, z):
     h = (omega[None, :] / sq) * np.exp(-zeta * omega[None, :] * lag) \
         * np.sin(omega[None, :] * sq * lag)
     h[lag <= 0] = 0.0
-    return h @ (z.T * math.sqrt(dt)), np.sqrt((h ** 2).sum(axis=1) * dt)
+    return (h @ (z.T * math.sqrt(dt))).T, np.sqrt((h ** 2).sum(axis=1) * dt)
 
 
 def dense_spectral_x1(params, t, dt, ab):
@@ -188,7 +189,7 @@ def dense_spectral_x1(params, t, dt, ab):
     cmat = mag * np.cos(phase) * math.sqrt(2 * dw)
     smat = mag * np.sin(phase) * math.sqrt(2 * dw)
     x1 = cmat @ ab[:, 0, :].T + smat @ ab[:, 1, :].T
-    return x1, np.sqrt((mag ** 2).sum(axis=1) * 2 * dw)
+    return x1.T, np.sqrt((mag ** 2).sum(axis=1) * 2 * dw)
 
 
 class TestBlockedEngines:
@@ -207,7 +208,7 @@ class TestBlockedEngines:
         big_k = math.ceil(base_params.t_total / (2 * sim_dt))
         z = gm_model._noise_matrix(7, 6, noise_shape(m, big_k))
 
-        x1, sigma = getattr(gm_model, x1_fn)(base_params, t, sim_dt, z)
+        x1, sigma, p = getattr(gm_model, x1_fn)(base_params, t, sim_dt, z)
         x1_ref, sigma_ref = dense_fn(base_params, t, sim_dt, z)
         assert np.abs(x1 - x1_ref).max() <= 1e-12 * np.abs(x1_ref).max()
         assert np.abs(sigma - sigma_ref).max() <= 1e-12 * sigma_ref.max()
@@ -215,8 +216,48 @@ class TestBlockedEngines:
         batch = engine(base_params, sim_dt, 6, seed=7)
         q = solve_modulator(base_params.log_ai, base_params.d595,
                             base_params.t_mid, base_params.t_total)(t)
-        ref = gm_model._normalize_and_modulate(x1_ref, sigma_ref, q).T
+        ref, _ = gm_model._normalize_and_modulate(x1_ref, sigma_ref, q)
         assert np.abs(batch.realizations - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert batch.omega_nodes == p
+
+    def test_normalize_and_modulate_bits(self, base_params, sim_dt):
+        """Steps 2-3 in place on (n, m) give the bits of the (m, n) formula
+        with a zeroed copy, and count the floored samples from one mask."""
+        def copy_formula(x1, sigma, q):  # x1 (m, n)
+            x2 = np.zeros_like(x1)
+            ok = sigma > gm_model.SIGMA_FLOOR_REL * sigma.max()
+            x2[ok] = x1[ok] / sigma[ok, None]
+            return q[:, None] * x2
+
+        t = gm_model._time_grid(base_params, sim_dt)
+        z = gm_model._noise_matrix(3, 5, (t.size,))
+        x1, sigma, _ = gm_model._temporal_x1(base_params, t, sim_dt, z)
+        assert sigma[0] == 0.0  # no increment has arrived at t = 0
+        sigma[40] = 0.5 * gm_model.SIGMA_FLOOR_REL * sigma.max()
+        q = solve_modulator(base_params.log_ai, base_params.d595,
+                            base_params.t_mid, base_params.t_total)(t)
+        ref = copy_formula(x1.T.copy(), sigma, q).T
+        x3, floor_hits = gm_model._normalize_and_modulate(x1, sigma, q)
+        assert x3 is x1 and floor_hits == 2
+        assert np.array_equal(x3, ref)
+        assert x3.tobytes() == np.ascontiguousarray(ref).tobytes()  # zero signs too
+
+    @pytest.mark.parametrize("engine,most", [(simulate_temporal, 2.5),
+                                             (simulate_spectral, 3.5)])
+    def test_peak_in_batch_arrays(self, engine, most):
+        """tracemalloc peak in (n, m) float64 arrays at n = 200, m = 4,001:
+        the noise and X1, and for the spectral engine its complex amplitudes
+        (n, K + 1); Steps 2-3 run in place on X1, which becomes the batch."""
+        p = GMParams(np.log(0.5), 10.0, 5.0, 15.0, -0.2, 0.3, 20.0)
+        engine(p, 0.005, 2, seed=1)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            batch = engine(p, 0.005, 200, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert batch.realizations.shape == (200, 4001)
+        assert peak <= most * batch.realizations.nbytes
 
     @pytest.mark.parametrize("engine", ["simulate_temporal", "simulate_spectral"])
     def test_memory_bound(self, engine):

@@ -77,12 +77,13 @@ def test_engines_match_dense(case, n, seed):
             (simulate_temporal, "_temporal_x1", dense_temporal_x1, (t.size,)),
             (simulate_spectral, "_spectral_x1", dense_spectral_x1, (2, big_k))):
         z = gm_model._noise_matrix(seed, n, shape)
-        x1, sigma = getattr(gm_model, x1_fn)(params, t, dt, z)
+        x1, sigma, p = getattr(gm_model, x1_fn)(params, t, dt, z)
         x1_ref, sigma_ref = dense_fn(params, t, dt, z)
         assert np.abs(x1 - x1_ref).max() <= 1e-12 * np.abs(x1_ref).max()
         assert np.abs(sigma - sigma_ref).max() <= 1e-12 * sigma_ref.max()
 
         batch = engine(params, dt, n, seed)
-        ref = gm_model._normalize_and_modulate(x1_ref, sigma_ref, q).T
+        ref, _ = gm_model._normalize_and_modulate(x1_ref, sigma_ref, q)
         assert np.abs(batch.realizations - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert batch.omega_nodes == 1 or params.omega_rate != 0
+        assert batch.omega_nodes == p
+        assert p == 1 or params.omega_rate != 0

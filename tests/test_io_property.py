@@ -7,21 +7,25 @@ from stochgm.catalog_io import (PARAM_KEYS, AccelerogramRecord, parse_at2,
                                 parse_manifest, write_at2)
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 NAMES = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-",
                 min_size=1, max_size=12)
 
 
-# write_at2 prints dt with 5 decimals and samples with 8 significant digits
+# write_at2 prints dt as its shortest round-trip repr and samples with 8
+# significant digits; the examples are steps that 5 decimals rewrote
 @settings(max_examples=50, deadline=None)
-@given(rec_id=NAMES, dt_steps=st.integers(1, 100_000),
+@given(rec_id=NAMES, dt=st.floats(0.0, exclude_min=True, allow_infinity=False),
        accel=st.lists(st.floats(-10.0, 10.0, allow_subnormal=False),
                       min_size=2, max_size=300),
        unit=st.sampled_from(["g", "m/s2"]))
-def test_at2_round_trip(rec_id, dt_steps, accel, unit):
-    rec = AccelerogramRecord(id=rec_id, dt=dt_steps / 1e5, accel=accel, unit=unit)
+@example(rec_id="r", dt=1 / 256, accel=[0.1, -0.2], unit="g")
+@example(rec_id="r", dt=0.000125, accel=[0.1, -0.2], unit="g")
+@example(rec_id="r", dt=2.5e-6, accel=[0.1, -0.2], unit="g")
+def test_at2_round_trip(rec_id, dt, accel, unit):
+    rec = AccelerogramRecord(id=rec_id, dt=dt, accel=accel, unit=unit)
     back = parse_at2(write_at2(rec))
     assert (back.id, back.dt, back.npts, back.unit) == (rec.id, rec.dt, rec.npts, "g")
     np.testing.assert_allclose(back.to_si().accel, rec.to_si().accel,
