@@ -198,8 +198,12 @@ def parse_manifest(text):
 
 def load_catalog(manifest_path):
     """Load a manifest and all referenced AT2 records, converted to SI."""
-    with open(manifest_path) as fh:
-        entries = parse_manifest(fh.read())
+    try:
+        with open(manifest_path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"manifest {manifest_path}: {exc}") from exc
+    entries = parse_manifest(text)
     if not entries:
         log.warning("manifest %s contains no entries", manifest_path)
         return Catalog(records=(), entries=())

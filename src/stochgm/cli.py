@@ -35,9 +35,9 @@ log = logging.getLogger("stochgm")
 DEFAULT_SEED = 20240715
 CORR_PANEL_T2 = (0.1, 0.5, 1.0, 4.0)
 # realizations x padded samples of one record's simulation (--n or --mc):
-# 128 MiB per float64 array; the engines peak at 2.3 (n, m) arrays (temporal)
-# and 3.3 (spectral), the high-pass at two (n, m + pad). Its square root caps
-# the --periods COUNT, the side of the COUNT x COUNT correlation matrices
+# 128 MiB per float64 array; either engine peaks at 2.3 (n, m) arrays, the
+# high-pass at two (n, m + pad). Its square root caps the --periods COUNT,
+# the side of the COUNT x COUNT correlation matrices
 MAX_SIM_ELEMENTS = 2 ** 24
 
 
@@ -488,7 +488,11 @@ def main(argv=None):
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
 
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:  # no directory to hold a run log
+        print(f"stochgm: error: --out {args.out}: {exc}", file=sys.stderr)
+        return 2
     run_log = {
         "command": args.command,
         "argv": sys.argv[1:] if argv is None else list(argv),

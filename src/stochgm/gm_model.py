@@ -331,16 +331,31 @@ def _temporal_x1(params, t, dt, z):
     return x1, np.sqrt(np.maximum(var, 0.0)), nodes.size
 
 
-def _spectral_x1(params, t, dt, ab):
+def _spectral_coef(ab, dt):
+    """The spectral engine's inverse-FFT input (n, K + 1) from the noise ab
+    (n, 2, K), cosine and sine amplitudes at w_k = k * dw, k = 1..K:
+    (a - i*b) * K * sqrt(2*dw), 0 at bin 0. Its Nyquist bin holds 2*a_K:
+    the sine term vanishes there, and irfft weighs that bin once. A step of
+    its own, so the noise is freed before the engine's per-node loop."""
+    n, _, big_k = ab.shape
+    coef = np.zeros((n, big_k + 1), dtype=complex)
+    dw = math.pi / (dt * big_k)
+    scale = big_k * math.sqrt(2 * dw)
+    np.multiply(ab[:, 0, :], scale, out=coef.real[:, 1:])
+    np.multiply(ab[:, 1, :], -scale, out=coef.imag[:, 1:])
+    coef[:, -1] = 2 * coef[:, -1].real
+    return coef
+
+
+def _spectral_x1(params, t, dt, coef):
     """X1 (n, m), sigma_X1 (m,) and node count p of the spectral engine from
-    the noise ab (n, 2, K): cosine and sine amplitudes at w_k = k * dw,
-    k = 1..K, the oscillator frozen at the output time t_i.
+    coef (n, K + 1) of _spectral_coef, the oscillator frozen at the output
+    time t_i.
 
     |H(w_k; w_i)| = sum_p l_p(w_i) |H(w_k; w_p)| and w_k*t_i = pi*k*i/K,
-    so each node is one inverse FFT of length 2K, periodic in i. Its
-    Nyquist bin holds 2*a_K: the sine term vanishes there, and irfft weighs
-    that bin once. sigma^2 interpolates 2*dw*sum_k |H(w_k; w_p)|^2."""
-    n, _, big_k = ab.shape
+    so each node is one inverse FFT of length 2K, periodic in i. sigma^2
+    interpolates 2*dw*sum_k |H(w_k; w_p)|^2."""
+    n, big_k = coef.shape[0], coef.shape[1] - 1
     m = t.size
     dw = math.pi / (dt * big_k)
     w = dw * np.arange(big_k + 1)  # bin 0 carries no noise
@@ -348,11 +363,6 @@ def _spectral_x1(params, t, dt, ab):
     zeta = params.zeta_f
     nodes, weights = _omega_nodes(omega, zeta)
     basis = _lagrange(omega, nodes, weights)
-    coef = np.zeros((n, big_k + 1), dtype=complex)  # (a - i*b) * scale
-    scale = big_k * math.sqrt(2 * dw)
-    np.multiply(ab[:, 0, :], scale, out=coef.real[:, 1:])
-    np.multiply(ab[:, 1, :], -scale, out=coef.imag[:, 1:])
-    coef[:, -1] = 2 * coef[:, -1].real
     x1 = np.zeros((n, m))
     var = np.zeros(m)
     for p, om in enumerate(nodes):
@@ -392,7 +402,8 @@ def simulate_spectral(params, dt, n, seed):
     # K * dw = pi/dt with dw <= 2*pi/t_total
     big_k = int(math.ceil(params.t_total / (2 * dt)))
     return _batch(params, t, dt, seed, "spectral",
-                  *_spectral_x1(params, t, dt, _noise_matrix(seed, n, (2, big_k))))
+                  *_spectral_x1(params, t, dt,
+                                _spectral_coef(_noise_matrix(seed, n, (2, big_k)), dt)))
 
 
 def simulate(params, dt, n, seed, engine="spectral"):

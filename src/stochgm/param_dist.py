@@ -148,25 +148,3 @@ def save_joint_model(model, path):
                      f"support {lo:.12g} {hi:.12g}\n")
         for row in model.correlation:
             fh.write("corr " + " ".join(f"{v:.12g}" for v in row) + "\n")
-
-
-def load_joint_model(path):
-    marginals, labels, corr_rows = [], [], []
-    with open(path) as fh:
-        for line in fh:
-            tok = line.split()
-            if not tok:
-                continue
-            if tok[0] == "marginal":
-                labels.append(tok[1])
-                family = tok[2]
-                ip = tok.index("params")
-                isup = tok.index("support")
-                params = tuple(float(v) for v in tok[ip + 1:isup])
-                support = (float(tok[isup + 1]), float(tok[isup + 2]))
-                marginals.append(MarginalModel(family, params, support))
-            elif tok[0] == "corr":
-                corr_rows.append([float(v) for v in tok[1:]])
-    return JointParamModel(marginals=tuple(marginals),
-                           correlation=np.asarray(corr_rows),
-                           labels=tuple(labels))

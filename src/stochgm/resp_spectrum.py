@@ -13,7 +13,7 @@ import cmath
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
@@ -28,26 +28,14 @@ class PeriodUnderResolved(UserWarning):
 
 @dataclass(frozen=True)
 class ResponseSpectrum:
-    """Periods (s), pseudo-acceleration Sa (m/s^2) and damping ratio."""
+    """Periods (s), pseudo-acceleration Sa (m/s^2) and damping ratio, as
+    compute_sa builds them: periods strictly increasing, Sa >= 0, and
+    under_resolved true where T < 2*dt."""
 
     periods: np.ndarray
     sa: np.ndarray
     damping: float = 0.05
-    under_resolved: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        periods = np.asarray(self.periods, dtype=float)
-        sa = np.asarray(self.sa, dtype=float)
-        if periods.shape != sa.shape:
-            raise ValueError("periods and sa must have matching shapes")
-        if np.any(np.diff(periods) <= 0):
-            raise ValueError("periods must be strictly increasing")
-        if np.any(sa < 0):
-            raise ValueError("Sa must be nonnegative")
-        object.__setattr__(self, "periods", periods)
-        object.__setattr__(self, "sa", sa)
-        if self.under_resolved is None:
-            object.__setattr__(self, "under_resolved", np.zeros(periods.shape, bool))
+    under_resolved: np.ndarray = None
 
     @property
     def sa_g(self):

@@ -423,6 +423,26 @@ def test_bad_at2_is_data_error(tmp_path, capsys, body):
                       tmp_path / "o", "entry r", capsys)
 
 
+@pytest.mark.parametrize("compare", [False, True], ids=["manifest", "compare"])
+def test_manifest_not_utf8_is_data_error(catalog_dir, tmp_path, capsys, compare):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"id = a\npath = a.AT2\n\xff\xfe bad\n")
+    good = edited_manifest(catalog_dir, tmp_path / "m.txt")
+    argv = (["stats", "--manifest", good, "--compare", str(bad)] if compare
+            else ["convert", "--manifest", str(bad)])
+    assert_data_error(argv, tmp_path / "o", f"manifest {bad}:", capsys)
+
+
+def test_out_is_a_file_is_data_error(catalog_dir, tmp_path, capsys):
+    out = tmp_path / "some_file"
+    out.write_text("not a directory\n")
+    assert main(["convert", "--manifest", str(catalog_dir / "manifest.txt"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"stochgm: error: --out {out}:") and err.count("\n") == 1
+    assert out.read_text() == "not a directory\n"  # nowhere to write a run log
+
+
 def test_sensitivity_too_few_records_is_data_error(catalog_dir, tmp_path, capsys):
     manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", keep=6)
     assert_data_error(["sensitivity", "--manifest", manifest], tmp_path / "o",

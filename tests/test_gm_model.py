@@ -192,13 +192,19 @@ def dense_spectral_x1(params, t, dt, ab):
     return x1.T, np.sqrt((mag ** 2).sum(axis=1) * 2 * dw)
 
 
+def spectral_x1(params, t, dt, ab):
+    """The spectral engine's X1 from its noise, as simulate_spectral
+    chains the two steps."""
+    return gm_model._spectral_x1(params, t, dt, gm_model._spectral_coef(ab, dt))
+
+
 class TestBlockedEngines:
     # the engines interpolate the oscillator in omega at Chebyshev nodes;
     # the dense references build every frozen kernel exactly
     @pytest.mark.parametrize("engine,x1_fn,dense_fn,noise_shape", [
-        (simulate_temporal, "_temporal_x1", dense_temporal_x1,
+        (simulate_temporal, gm_model._temporal_x1, dense_temporal_x1,
          lambda m, big_k: (m,)),
-        (simulate_spectral, "_spectral_x1", dense_spectral_x1,
+        (simulate_spectral, spectral_x1, dense_spectral_x1,
          lambda m, big_k: (2, big_k)),
     ], ids=["temporal", "spectral"])
     def test_blocked_matches_dense(self, base_params, sim_dt,
@@ -208,7 +214,7 @@ class TestBlockedEngines:
         big_k = math.ceil(base_params.t_total / (2 * sim_dt))
         z = gm_model._noise_matrix(7, 6, noise_shape(m, big_k))
 
-        x1, sigma, p = getattr(gm_model, x1_fn)(base_params, t, sim_dt, z)
+        x1, sigma, p = x1_fn(base_params, t, sim_dt, z)
         x1_ref, sigma_ref = dense_fn(base_params, t, sim_dt, z)
         assert np.abs(x1 - x1_ref).max() <= 1e-12 * np.abs(x1_ref).max()
         assert np.abs(sigma - sigma_ref).max() <= 1e-12 * sigma_ref.max()
@@ -243,11 +249,12 @@ class TestBlockedEngines:
         assert x3.tobytes() == np.ascontiguousarray(ref).tobytes()  # zero signs too
 
     @pytest.mark.parametrize("engine,most", [(simulate_temporal, 2.5),
-                                             (simulate_spectral, 3.5)])
+                                             (simulate_spectral, 2.5)])
     def test_peak_in_batch_arrays(self, engine, most):
         """tracemalloc peak in (n, m) float64 arrays at n = 200, m = 4,001:
-        the noise and X1, and for the spectral engine its complex amplitudes
-        (n, K + 1); Steps 2-3 run in place on X1, which becomes the batch."""
+        the noise and X1, or for the spectral engine its complex amplitudes
+        (n, K + 1), built from the noise before X1, and X1; Steps 2-3 run in
+        place on X1, which becomes the batch."""
         p = GMParams(np.log(0.5), 10.0, 5.0, 15.0, -0.2, 0.3, 20.0)
         engine(p, 0.005, 2, seed=1)  # first-call imports and caches
         tracemalloc.start()

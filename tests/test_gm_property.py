@@ -9,7 +9,8 @@ import pytest
 
 from stochgm import (GMParams, gm_model, highpass, simulate_spectral,
                      simulate_temporal, solve_modulator)
-from test_gm_model import dense_spectral_x1, dense_temporal_x1, measure_q2_targets
+from test_gm_model import (dense_spectral_x1, dense_temporal_x1, measure_q2_targets,
+                           spectral_x1)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -74,10 +75,10 @@ def test_engines_match_dense(case, n, seed):
     big_k = math.ceil(params.t_total / (2 * dt))
     q = solve_modulator(params.log_ai, params.d595, params.t_mid, params.t_total)(t)
     for engine, x1_fn, dense_fn, shape in (
-            (simulate_temporal, "_temporal_x1", dense_temporal_x1, (t.size,)),
-            (simulate_spectral, "_spectral_x1", dense_spectral_x1, (2, big_k))):
+            (simulate_temporal, gm_model._temporal_x1, dense_temporal_x1, (t.size,)),
+            (simulate_spectral, spectral_x1, dense_spectral_x1, (2, big_k))):
         z = gm_model._noise_matrix(seed, n, shape)
-        x1, sigma, p = getattr(gm_model, x1_fn)(params, t, dt, z)
+        x1, sigma, p = x1_fn(params, t, dt, z)
         x1_ref, sigma_ref = dense_fn(params, t, dt, z)
         assert np.abs(x1 - x1_ref).max() <= 1e-12 * np.abs(x1_ref).max()
         assert np.abs(sigma - sigma_ref).max() <= 1e-12 * sigma_ref.max()

@@ -5,7 +5,8 @@ from scipy import stats
 from stochgm import (JointParamModel, MarginalModel, fit_copula, fit_marginal,
                      sample_params)
 from stochgm.errors import DataError
-from stochgm.param_dist import load_joint_model, save_joint_model
+from stochgm.param_dist import DEFAULT_FAMILIES, save_joint_model
+from stochgm.sensitivity import PARAM_LABELS
 
 
 class TestFitMarginal:
@@ -130,7 +131,8 @@ class TestSampleParams:
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
+    def test_text_format(self, tmp_path):
+        """The line format the README documents, read back as exact text."""
         marginals = (MarginalModel("exponential", (2.5,), (0.0, np.inf)),
                      MarginalModel("beta", (2.0, 3.0), (0.5, 4.5)))
         model = JointParamModel(marginals=marginals,
@@ -138,8 +140,17 @@ class TestSerialization:
                                 labels=("fc_hz", "d595"))
         path = tmp_path / "model.txt"
         save_joint_model(model, path)
-        loaded = load_joint_model(path)
-        assert loaded.labels == ("fc_hz", "d595")
-        assert loaded.marginals[1].family == "beta"
-        assert loaded.marginals[1].support == (0.5, 4.5)
-        np.testing.assert_allclose(loaded.correlation, model.correlation)
+        assert path.read_text() == (
+            "marginal fc_hz exponential params 2.5 support 0 inf\n"
+            "marginal d595 beta params 2 3 support 0.5 4.5\n"
+            "corr 1 0.2\n"
+            "corr 0.2 1\n")
+
+
+def test_default_families_follow_param_labels():
+    # sample-params pairs DEFAULT_FAMILIES with theta columns by position
+    assert dict(zip(PARAM_LABELS, DEFAULT_FAMILIES, strict=True)) == {
+        "fc_hz": "exponential",
+        "log_ai": "normal", "omega_rate": "normal",
+        "d595": "beta", "t_mid": "beta", "zeta_f": "beta",
+        "omega_mid": "gamma"}
