@@ -122,10 +122,7 @@ def parse_at2(raw_text):
     npts = int(m.group(1))
     dt = float(m.group(2))
 
-    values = []
-    for line in lines[4:]:
-        for tok in line.split():
-            values.append(float(tok))
+    values = list(map(float, " ".join(lines[4:]).split()))
     if len(values) != npts:
         raise DataError(f"header declares NPTS={npts} but body has {len(values)} values")
     accel = np.asarray(values, dtype=float)  # AccelerogramRecord rejects NaN/inf
@@ -147,7 +144,7 @@ def write_at2(record):
         f"NPTS= {rec.npts:6d}, DT= {float(rec.dt)!r}  SEC",
     ]
     # as "{v:15.7e}", but a negative 3-digit exponent cannot fuse values
-    vals = [f" {v:14.7e}" for v in rec.accel]
+    vals = [f" {v:14.7e}" for v in rec.accel.tolist()]
     for i in range(0, len(vals), 5):
         out.append("".join(vals[i:i + 5]))
     return "\n".join(out) + "\n"

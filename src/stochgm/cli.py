@@ -7,8 +7,10 @@ output directory. Exit codes: 0 success, 1 usage error, 2 data error,
 3 numerical failure.
 
 Each subcommand imports the modules it calls, so a process loads only what
-its subcommand needs: convert never imports scipy.signal, scipy.stats or
-scipy.optimize.
+its subcommand needs: convert needs numpy alone, spectrum and stats add
+scipy.linalg.lapack, simulate, fit-fc and sensitivity also scipy.special,
+and only sample-params loads scipy.stats (which brings scipy.optimize). No
+subcommand loads scipy.signal.
 """
 
 import argparse

@@ -11,13 +11,14 @@ Both engines build the same pre-filter process X3:
 
 Both engines interpolate the oscillator in omega at p Chebyshev nodes
 (_omega_nodes) and run one exact recursion (temporal) or one inverse FFT
-(spectral) per node: O(p * n * m) work, O(n * m + p * K) memory, and no
-BLAS call, so the bits do not depend on the BLAS thread count.
+(spectral) per node: O(p * n * m) work and O(n * m + p * K) memory. No
+matrix product is left, and each recursion is a single-threaded banded
+solve, so the bits do not depend on the BLAS thread count.
 
 The high-pass stage (critically damped oscillator, corner frequency fc) is
 kept separate so an fc search can reuse one X3 batch. It is one two-pole
-recursion (scipy.signal.lfilter) over the zero-padded batch, so it holds
-O(n * (m + pad)) memory and no filter kernel.
+recursion (resp_spectrum.recurrence) over the batch extended by its
+zero pad, so it holds O(n * (m + pad)) memory and no filter kernel.
 """
 
 import cmath
@@ -25,12 +26,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.signal import lfilter, sosfilt
 from scipy.special import gammainc, gammaincinv, gammaln
 
 from .catalog_io import G_ACCEL, PARAM_KEYS
 from .errors import DataError, NumericalError
+from .resp_spectrum import recurrence
 
 SIGMA_FLOOR_REL = 1e-6  # below this fraction of max sigma, X2 is set to 0
 # target Chebyshev tail of the engines' interpolation in omega, relative
@@ -150,7 +150,48 @@ def _ai_quantile_times(k, r, t_total, qs=(0.05, 0.45, 0.95)):
     """Times at which the cumulative of t**(k-1)exp(-r t) on [0, t_total]
     reaches the given fractions of its total."""
     ptot = gammainc(k, r * t_total)
-    return np.array([gammaincinv(k, q * ptot) / r for q in qs])
+    return [gammaincinv(k, q * ptot) / r for q in qs]
+
+
+def _brentq(f, xpre, xcur, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
+    """A root of f between xpre and xcur, where f changes sign, by Brent's
+    method (Brent 1973, ch. 4) step for step as scipy.optimize.brentq runs
+    it: the same f gives the same iterates and the same root."""
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1, fpre) == math.copysign(1, fcur):
+        raise NumericalError(f"no sign change of f between {xpre} and {xcur}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1, fpre) != math.copysign(1, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry  # a short interpolation step
+        else:
+            spre = scur = sbis  # bisection
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise NumericalError(f"Brent's method did not converge in {maxiter} steps")
 
 
 def solve_modulator(log_ai, d595, t_mid, t_total):
@@ -158,9 +199,9 @@ def solve_modulator(log_ai, d595, t_mid, t_total):
 
     q^2 is proportional to a gamma kernel with shape k = 2*a2 - 1 and rate
     r = 2*a3, truncated at t_total. Nested bracketed root-finding: for each
-    candidate shape, the rate matching t95 - t5 = d595 is found by brentq;
-    the outer brentq drives t45 to t_mid. a1 then scales q so that
-    (pi / 2g) * integral(q^2) equals AI = exp(log_ai).
+    candidate shape, the rate matching t95 - t5 = d595 is found by Brent's
+    method (_brentq); an outer Brent search drives t45 to t_mid. a1 then
+    scales q so that (pi / 2g) * integral(q^2) equals AI = exp(log_ai).
     """
     if d595 >= t_total:
         raise NumericalError(f"d595={d595} does not fit inside t_total={t_total}")
@@ -168,21 +209,21 @@ def solve_modulator(log_ai, d595, t_mid, t_total):
         raise NumericalError("t_mid must lie inside (0, t_total)")
 
     def span_resid(r, k):
-        t5, _, t95 = _ai_quantile_times(k, r, t_total)
+        t5, t95 = _ai_quantile_times(k, r, t_total, (0.05, 0.95))
         return (t95 - t5) - d595
 
     def rate_for_span(k):
         rlo, rhi = 1e-7, 1e4
         if span_resid(rlo, k) < 0:
             return None  # even the flattest member of this shape is too short
-        return brentq(span_resid, rlo, rhi, args=(k,), xtol=1e-13, rtol=8.9e-16)
+        return _brentq(lambda r: span_resid(r, k), rlo, rhi, xtol=1e-13, rtol=8.9e-16)
 
     def tmid_resid(logk):
         k = math.exp(logk)
         r = rate_for_span(k)
         if r is None:
             return None
-        return _ai_quantile_times(k, r, t_total)[1] - t_mid
+        return _ai_quantile_times(k, r, t_total, (0.45,))[0] - t_mid
 
     # scan shapes (k > 1 so that a2 > 1) for a sign change, then refine
     logks = np.log(np.logspace(math.log10(1.0005), math.log10(2e4), 120))
@@ -200,7 +241,7 @@ def solve_modulator(log_ai, d595, t_mid, t_total):
     if bracket is None:
         raise NumericalError(
             f"no gamma modulator reproduces d595={d595}, t_mid={t_mid}, t_total={t_total}")
-    logk = brentq(tmid_resid, *bracket, xtol=1e-12)
+    logk = _brentq(tmid_resid, *bracket, xtol=1e-12)
     k = math.exp(logk)
     r = rate_for_span(k)
 
@@ -320,14 +361,15 @@ def _temporal_x1(params, t, dt, z):
     for p, w in enumerate(nodes):
         ell = basis(p)
         lam = cmath.exp(complex(-zeta, sq) * w * dt)
-        sos = [[math.sqrt(dt) * w / sq, 0.0, 0.0, 1.0, -lam, 0.0]]
+        b = [math.sqrt(dt) * w / sq]
         for rows in _row_chunks(*z.shape):
-            x1[rows] += sosfilt(sos, ell * z[rows], axis=-1).imag
+            x1[rows] += recurrence(b, [1.0, -lam], ell * z[rows]).imag
         rho, mu = abs(lam) ** 2, lam * lam
         g = dt * (w / sq) ** 2 * rho * math.sin(w * sq * dt) ** 2
-        var += sosfilt([[0.0, g, g * rho, 1.0, -rho, 0.0],
-                        [1.0, 0.0, 0.0, 1.0, -mu, 0.0],
-                        [1.0, 0.0, 0.0, 1.0, -mu.conjugate(), 0.0]], ell).real
+        h2 = recurrence([0.0, g, g * rho], [1.0, -rho], ell)
+        for pole in (mu, mu.conjugate()):
+            h2 = recurrence([1.0], [1.0, -pole], h2)
+        var += h2.real
     return x1, np.sqrt(np.maximum(var, 0.0)), nodes.size
 
 
@@ -462,10 +504,9 @@ def highpass(x3, fc_hz, dt):
         raise ValueError("fc_hz must be >= 0")
     if fc_hz == 0:
         return x3.copy()
-    pad = np.zeros(x3.shape[:-1] + (highpass_pad(fc_hz, dt),))
+    size = x3.shape[-1] + highpass_pad(fc_hz, dt)
     r = math.exp(-2 * math.pi * fc_hz * dt)
-    return lfilter([r, -2 * r, r], [1.0, -2 * r, r * r],
-                   np.concatenate([x3, pad], axis=-1), axis=-1)
+    return recurrence([r, -2 * r, r], [1.0, -2 * r, r * r], x3, size=size)
 
 
 def apply_highpass(batch, fc_hz):

@@ -2,11 +2,15 @@
 
 The SDOF equation u'' + 2 zeta w u' + w^2 u = f is integrated with the
 piecewise-exact recurrence of Nigam & Jennings (1969) for f linear between
-samples, x_k+1 = A x_k + B (f_k, f_k+1) with x = (u, u'), evaluated with
-scipy.signal.lfilter. The peak is read at least MIN_SAMPLES_PER_CYCLE
-times per cycle: for short periods, also at t_k + q dt/refine, each the
-exact fractional-step transition from (u_k, u'_k, f_k, f_k+1); nothing
-is upsampled or approximated.
+samples, x_k+1 = A x_k + B (f_k, f_k+1) with x = (u, u'), evaluated as
+two difference equations by `recurrence`. The peak is read at least
+MIN_SAMPLES_PER_CYCLE times per cycle: for short periods, also at
+t_k + q dt/refine, each the exact fractional-step transition from
+(u_k, u'_k, f_k, f_k+1); nothing is upsampled or approximated.
+
+`recurrence` is the one linear-recurrence kernel of the package: these
+difference equations, the high-pass filter and the temporal engine's
+per-node poles (gm_model) all run through it.
 """
 
 import cmath
@@ -16,7 +20,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dtbtrs, ztbtrs
 
 from .catalog_io import G_ACCEL
 from .errors import DataError
@@ -77,8 +81,46 @@ def _sdof_step(omega, zeta, dt):
             (1.0, -2 * ez.real, math.exp(2 * z.real)))
 
 
+_BLOCK = 1 << 16  # elements of a row block's temporaries (512 KiB)
+
+
+def recurrence(b, a, x, zi=None, size=None):
+    """lfilter(b, a, x, zi=zi)[0] along the last axis of x (m,) or (n, m),
+    real or complex, with a[0] = 1 and x taken as 0 past its end, so a
+    size > m extends the output. The numerator sum_j b_j x_k-j is numpy work
+    in row chunks whose temporaries stay in cache; zi adds to its first
+    samples. The denominator is one banded unit-lower-triangular solve
+    (LAPACK ?tbtrs) in place: the C-order (n, size) output is the Fortran
+    (size, n) array whose columns LAPACK solves, so nothing is transposed."""
+    x = np.asarray(x)
+    m = x.shape[-1]
+    size = m if size is None else size
+    y = np.empty(x.shape[:-1] + (size,), np.result_type(x, *b, *a))
+    n = math.prod(x.shape[:-1])
+    x2, y2 = x.reshape(n, m), y.reshape(n, size)
+    rows = max(1, _BLOCK // max(1, size))
+    for i in range(0, n, rows):
+        xr, yr = x2[i:i + rows], y2[i:i + rows]
+        k = min(m, size)
+        np.multiply(xr[:, :k], b[0], out=yr[:, :k])
+        yr[:, k:] = 0
+        for j in range(1, len(b)):
+            k = min(m, size - j)
+            if k > 0:
+                yr[:, j:j + k] += b[j] * xr[:, :k]
+    if zi is not None:
+        k = min(size, zi.shape[-1])
+        y[..., :k] += zi[..., :k]
+    ab = np.empty((len(a), size), y.dtype, order="F")  # C order is copied per call
+    ab[...] = np.reshape(a, (-1, 1))
+    solve = ztbtrs if np.iscomplexobj(y) else dtbtrs
+    _, info = solve(ab, y2.T, uplo="L", diag="U", overwrite_b=1)
+    if info:
+        raise ValueError(f"?tbtrs argument {-info} is invalid")
+    return y
+
+
 MIN_SAMPLES_PER_CYCLE = 32
-_SUB_BLOCK = 1 << 16  # sub-step values computed at once (512 KiB)
 
 
 def refine_factor(dt, period):
@@ -96,14 +138,14 @@ def peak_displacement(accel, dt, period, damping):
     (a11, a12, a21, a22), (b11, b12, b21, b22), a = _sdof_step(omega, damping, dt)
     # u and v = u' as difference equations over a, started at u_0 = v_0 = 0
     bu = (b12, b11 + a12 * b22 - a22 * b12, a12 * b21 - a22 * b11)
-    u = lfilter(bu, a, f, zi=f[:, :1] * [-bu[0], b11 - bu[1]])[0]
+    u = recurrence(bu, a, f, zi=f[:, :1] * [-bu[0], b11 - bu[1]])
     # max |u| without an |u| temporary; abs keeps a zero peak at +0
     peak = np.abs(np.maximum(u.max(axis=-1), -u.min(axis=-1)))
     refine = refine_factor(dt, period)
     if refine == 1 or f.shape[1] < 2:
         return peak
     bv = (b22, b21 + a21 * b12 - a11 * b22, a21 * b11 - a11 * b21)
-    v = lfilter(bv, a, f, zi=f[:, :1] * [-bv[0], b21 - bv[1]])[0]
+    v = recurrence(bv, a, f, zi=f[:, :1] * [-bv[0], b21 - bv[1]])
     # u(t_k + w dt) = A(w dt) (u_k, v_k) + B(w dt) (f_k, (1 - w) f_k + w f_k+1)
     coef = []
     for w in (q / refine for q in range(1, refine)):
@@ -111,7 +153,7 @@ def peak_displacement(accel, dt, period, damping):
         coef.append((s11, s12, c11 + c12 * (1 - w), c12 * w))
     coef = np.array(coef)
     x = np.stack([u[:, :-1], v[:, :-1], f[:, :-1], f[:, 1:]])  # (4, n, m - 1)
-    rows = max(1, _SUB_BLOCK // ((refine - 1) * x.shape[2]))
+    rows = max(1, _BLOCK // ((refine - 1) * x.shape[2]))
     for i in range(0, x.shape[1], rows):
         sub = np.abs(coef @ x[:, i:i + rows].reshape(4, -1))
         peak[i:i + rows] = np.maximum(peak[i:i + rows], sub.reshape(

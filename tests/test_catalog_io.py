@@ -62,6 +62,25 @@ def test_round_trip_identity():
     assert rec2.dt == rec.dt
 
 
+def test_write_at2_text_as_numpy_formats_it():
+    # write_at2 formats Python floats; the text is what formatting each
+    # numpy float64 gives, 3-digit exponents and subnormals included
+    vals = np.array([0.0, -0.0, 1.5e-300, -2.5e-305, 5e-324, -1e-310,
+                     2.2250738585072014e-308, -1.2345678e-5, 9.87654321,
+                     -123456.789, 1e-100, 7.1e-200])
+    lines = write_at2(AccelerogramRecord(id="r", dt=0.01, accel=vals)).splitlines()
+    cells = [f" {v:14.7e}" for v in vals]
+    assert lines[4:] == ["".join(cells[i:i + 5]) for i in range(0, vals.size, 5)]
+    assert lines[4].endswith(" 1.5000000e-300 -2.5000000e-305 4.9406565e-324")
+    np.testing.assert_array_equal(parse_at2("\n".join(lines)).accel,
+                                  [float(c) for c in cells])
+
+
+def test_parse_at2_lines_without_leading_blanks():
+    text = "r\nsource\nunits\nNPTS= 5, DT= 0.01 SEC\n0.1 -0.2\n3e-5\n-4.0E+00 0.5\n"
+    np.testing.assert_array_equal(parse_at2(text).accel, [0.1, -0.2, 3e-5, -4.0, 0.5])
+
+
 def test_record_validation():
     with pytest.raises(ValueError):
         AccelerogramRecord(id="x", dt=-0.01, accel=[0.1, 0.2])

@@ -48,6 +48,46 @@ class TestModulator:
         with pytest.raises(NumericalError, match="does not fit inside t_total"):
             solve_modulator(0.0, 50.0, 5.0, 40.0)
 
+    @pytest.mark.parametrize("d595,t_mid,t_total", [(30.0, 0.5, 40.0), (5.0, 39.5, 40.0)])
+    def test_no_shape_reaches_t_mid(self, d595, t_mid, t_total):
+        # the shape scan finds no sign change of t45 - t_mid
+        with pytest.raises(NumericalError, match=(
+                f"no gamma modulator reproduces d595={d595}, t_mid={t_mid}, "
+                f"t_total={t_total}")):
+            solve_modulator(0.0, d595, t_mid, t_total)
+
+    def test_brent_port_matches_scipy_brentq(self, monkeypatch):
+        # gm_model._brentq takes scipy.optimize.brentq's steps, so the
+        # coefficients are equal, not close, with brentq patched in. The
+        # draws span perfbench's parameter ranges
+        from scipy.optimize import brentq
+
+        rng = np.random.default_rng(2024)
+        draws = []
+        for _ in range(60):
+            s = rng.uniform(15.0, 60.0) / 25.0
+            draws.append((np.log(rng.uniform(0.3, 0.7)), rng.uniform(8.0, 12.0) * s,
+                          rng.uniform(4.0, 5.5) * s, 25.0 * s))
+        ported = [solve_modulator(*d) for d in draws]
+        monkeypatch.setattr(gm_model, "_brentq",
+                            lambda f, a, b, **tol: brentq(f, a, b, **tol))
+        assert [solve_modulator(*d) for d in draws] == ported
+
+    @pytest.mark.parametrize("xtol", [1e-2, 1e-6, 1e-12])
+    def test_brentq_takes_scipys_steps(self, xtol):
+        # a loose xtol stops the search mid-path, so the root it returns
+        # shows the steps taken, not only where they converge
+        from scipy.optimize import brentq
+
+        funcs = [lambda x: math.tanh(3 * (x - 0.3)) + 1e-3,
+                 lambda x: (x - 0.7) ** 3 + 0.1 * (x - 0.7),
+                 lambda x: math.exp(2 * x) - 3.0,
+                 lambda x: x ** 9 - 0.5]
+        for f in funcs:
+            for a, b in ((-1.0, 2.0), (2.0, -0.5), (0.0, 1.0)):
+                if np.sign(f(a)) != np.sign(f(b)):
+                    assert gm_model._brentq(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol)
+
     @pytest.mark.parametrize("d595,t_mid,t_total", [
         (5.0, 3.0, 20.0), (15.0, 9.0, 40.0), (8.0, 6.0, 30.0)])
     def test_round_trip_varied(self, d595, t_mid, t_total):
@@ -90,8 +130,9 @@ class TestEngines:
             np.testing.assert_array_equal(b1.realizations, b2.realizations[:4])
 
     def test_bits_do_not_depend_on_blas_threads(self):
-        # the engines make no BLAS call (no matrix product), so a seed gives
-        # the same bits under any OpenBLAS thread count
+        # the engines make no matrix product, and their recursions are
+        # single-threaded banded solves, so a seed gives the same bits under
+        # any OpenBLAS thread count
         probe = textwrap.dedent("""
             import hashlib
             import numpy as np

@@ -1,8 +1,9 @@
 """What each entry point imports. The package resolves its public names on
 first use and the CLI imports per subcommand, so a process that only
 parses arguments or converts records never loads scipy's signal, stats or
-optimize packages. Each check runs in a fresh interpreter, because this
-test process has imported everything already."""
+optimize packages; nor does spectrum, simulate or fit-fc, which need only
+scipy.linalg.lapack and scipy.special. Each check runs in a fresh
+interpreter, because this test process has imported everything already."""
 
 import os
 import subprocess
@@ -11,7 +12,9 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from stochgm import GMParams, apply_highpass, simulate_spectral
 from stochgm.catalog_io import AccelerogramRecord, write_at2
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -50,6 +53,27 @@ def test_convert_loads_no_heavy_scipy(tmp_path):
         assert not [m for m in {HEAVY!r} if m in sys.modules], sys.modules
     """)
     assert (out / "r0.AT2").read_text() == write_at2(rec)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--periods", "0.1:2:5"],
+    ["simulate", "--n", "2"],
+    ["fit-fc", "--mc", "2", "--fc-grid", "0.1:0.3:0.1"],
+])
+def test_computing_subcommands_load_no_heavy_scipy(tmp_path, argv):
+    p = GMParams(np.log(0.5), 4.0, 2.5, 15.0, 0.0, 0.3, 10.0)
+    batch = apply_highpass(simulate_spectral(p, 0.02, 1, 1), 0.3)
+    rec = AccelerogramRecord(id="r0", dt=0.02, accel=batch.realizations[0], unit="m/s2")
+    (tmp_path / "r0.AT2").write_text(write_at2(rec))
+    (tmp_path / "m.txt").write_text("id = r0\npath = r0.AT2\n" + "".join(
+        f"{k} = {v}\n" for k, v in vars(p.with_fc(0.3)).items()))
+    run_fresh(f"""
+        import sys
+        from stochgm import cli
+        assert cli.main({argv!r} + ["--manifest", {str(tmp_path / "m.txt")!r},
+                                    "--out", {str(tmp_path / "out")!r}]) == 0
+        assert not [m for m in {HEAVY!r} if m in sys.modules], sys.modules
+    """)
 
 
 def test_public_names_resolve_lazily():

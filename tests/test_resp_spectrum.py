@@ -1,15 +1,60 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from scipy.signal import lfilter
+from scipy.signal import lfilter, sosfilt
 
 from stochgm import (batch_log_sa, compute_sa, resp_spectrum, simulate_spectral,
                      standard_period_grid)
 from stochgm.errors import DataError
 from stochgm.gm_model import SimBatch
 from stochgm.resp_spectrum import (PeriodUnderResolved, batch_sa_matrix, log_sa,
-                                   peak_displacement)
+                                   peak_displacement, recurrence)
+
+
+class TestRecurrence:
+    """recurrence against the scipy.signal filters it replaced, within
+    RTOL of the reference's max |y| (they differ only in rounding order)."""
+
+    RTOL = 1e-13
+    # SDOF-like two-pole (poles 0.97*exp(+-0.1i)) and the engine's one complex pole
+    REAL = ([0.2, -0.3, 0.1], [1.0, -2 * 0.97 * math.cos(0.1), 0.97 ** 2])
+    LAM = cmath.exp(complex(-0.3, 0.95) * 0.1)
+
+    def check(self, got, ref):
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.abs(got - ref).max() <= self.RTOL * np.abs(ref).max()
+
+    @pytest.fixture(params=[(1, 1), (1, 2), (1, 4001), (3, 1), (3, 2), (3, 4001)],
+                    ids=lambda s: f"n{s[0]}-m{s[1]}")
+    def x(self, request):
+        return np.random.default_rng(sum(request.param)).standard_normal(request.param)
+
+    @pytest.mark.parametrize("with_zi", [False, True])
+    def test_real_matches_lfilter(self, x, with_zi):
+        b, a = self.REAL
+        zi = np.random.default_rng(1).standard_normal((x.shape[0], 2)) if with_zi else None
+        ref = lfilter(b, a, x, zi=zi)[0] if with_zi else lfilter(b, a, x)
+        self.check(recurrence(b, a, x, zi=zi), ref)
+        if x.shape[0] == 1:  # a 1-D series
+            self.check(recurrence(b, a, x[0], zi=None if zi is None else zi[0]), ref[0])
+
+    def test_complex_pole_matches_sosfilt(self, x):
+        ref = sosfilt([[0.7, 0.0, 0.0, 1.0, -self.LAM, 0.0]], x)
+        self.check(recurrence([0.7], [1.0, -self.LAM], x), ref)
+
+    def test_complex_matches_lfilter_with_zi(self, x):
+        b, a = [0.7, 0.1j], [1.0, -self.LAM, 0.2 * self.LAM ** 2]
+        zi = np.random.default_rng(2).standard_normal((x.shape[0], 2)) * (1 - 1j)
+        self.check(recurrence(b, a, x + 0.5j * x, zi=zi),
+                   lfilter(b, a, x + 0.5j * x, zi=zi)[0])
+
+    @pytest.mark.parametrize("extra", [1, 3, 50])
+    def test_size_extends_with_zeros(self, x, extra):
+        b, a = self.REAL
+        padded = np.concatenate([x, np.zeros((x.shape[0], extra))], axis=-1)
+        self.check(recurrence(b, a, x, size=x.shape[1] + extra), lfilter(b, a, padded))
 
 
 class TestPeriodGrid:
