@@ -51,8 +51,8 @@ class AccelerogramRecord:
     def __post_init__(self):
         accel = np.asarray(self.accel, dtype=float)
         object.__setattr__(self, "accel", accel)
-        if self.dt <= 0:
-            raise ValueError(f"record {self.id}: dt must be > 0, got {self.dt}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"record {self.id}: dt must be finite and > 0, got {self.dt}")
         if accel.size < 2:
             raise ValueError(f"record {self.id}: need at least 2 samples")
         if not np.all(np.isfinite(accel)):

@@ -369,13 +369,15 @@ def cmd_sensitivity(args):
                [[f"{t:.6g}"] + [f"{wc[i, j]:.8g}" for i in range(wc.shape[0])]
                 for j, t in enumerate(periods)])
 
-    var_rows = {}
+    var_rows, negative = {}, {}
     for mode in ("full", "const_fc", "no_cov"):
         surf = (sensitivity.baseline_surfaces(bundle) if mode == "full"
                 else sensitivity.scenario_neglect_fc(bundle, mode))
         _write_matrix_csv(os.path.join(args.out, f"rho_{mode}.csv"),
                           periods, surf["rho"])
         var_rows[mode] = surf["var"]
+        if mode != "full":
+            negative[mode] = int(surf["negative_variance"].sum())
     _write_csv(os.path.join(args.out, "variance_scenarios.csv"),
                ["T_s", "var_full", "var_const_fc", "var_no_cov"],
                [(f"{t:.6g}",) + tuple(f"{var_rows[k][j]:.8g}"
@@ -398,7 +400,8 @@ def cmd_sensitivity(args):
     with open(os.path.join(args.out, "r2.svg"), "w") as fh:
         fh.write(chart.render())
     return {"r2_range": [float(r2.min()), float(r2.max())],
-            "health": _spectra_health(catalog.records, spectra)}
+            "health": dict(_spectra_health(catalog.records, spectra),
+                           negative_variance_periods=negative)}
 
 
 def cmd_sample_params(args):

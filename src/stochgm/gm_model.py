@@ -11,7 +11,8 @@ Both engines build the same pre-filter process X3:
 
 Both engines interpolate the oscillator in omega at p Chebyshev nodes
 (_omega_nodes) and run one exact recursion (temporal) or one inverse FFT
-(spectral) per node: O(p * n * m) work and O(n * m + p * K) memory. No
+(spectral) per node: O(p * n * m) work and O(n * m + p * K) memory, each
+node's temporaries one row block (resp_spectrum.row_blocks) at a time. No
 matrix product is left, and each recursion is a single-threaded banded
 solve, so the bits do not depend on the BLAS thread count.
 
@@ -30,15 +31,11 @@ from scipy.special import gammainc, gammaincinv, gammaln
 
 from .catalog_io import G_ACCEL, PARAM_KEYS
 from .errors import DataError, NumericalError
-from .resp_spectrum import recurrence
+from .resp_spectrum import recurrence, row_blocks
 
 SIGMA_FLOOR_REL = 1e-6  # below this fraction of max sigma, X2 is set to 0
 # target Chebyshev tail of the engines' interpolation in omega, relative
 NODE_TOL = 1e-14
-# elements per (rows x m) temporary of the engines' row chunks (512 KiB).
-# Whole (n, m) temporaries made the engines 1.3-1.6x slower at n = 1000,
-# m = 6001, and raised their peak by 1-2 (n, m) arrays
-CHUNK_ELEMENTS = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -129,17 +126,6 @@ class SimBatch:
         np.savez(path, realizations=self.realizations, dt=self.dt, seed=self.seed,
                  domain_tag=self.domain_tag,
                  params=np.array([np.nan if v is None else v for v in values]))
-
-    @classmethod
-    def load_npz(cls, path):
-        """Read a batch written by save_npz, stored or compressed."""
-        with np.load(path) as z:
-            p = dict(zip(PARAM_KEYS, (float(v) for v in z["params"])))
-            if np.isnan(p["fc_hz"]):
-                p["fc_hz"] = None
-            return cls(realizations=z["realizations"], dt=float(z["dt"]),
-                       seed=int(z["seed"]), params=GMParams(**p),
-                       domain_tag=str(z["domain_tag"]))
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +316,6 @@ def _lagrange(omega, nodes, weights):
     return basis
 
 
-def _row_chunks(n, m):
-    """Row spans of an (n, m) batch whose per-node temporaries hold at most
-    CHUNK_ELEMENTS: they stay in cache and the allocator reuses them."""
-    rows = max(1, CHUNK_ELEMENTS // m)
-    return [slice(r0, r0 + rows) for r0 in range(0, n, rows)]
-
-
 def _temporal_x1(params, t, dt, z):
     """X1 (n, m), sigma_X1 (m,) and node count p of the time-domain engine
     from the noise z (n, m), the oscillator frozen at the excitation time t_j.
@@ -362,7 +341,7 @@ def _temporal_x1(params, t, dt, z):
         ell = basis(p)
         lam = cmath.exp(complex(-zeta, sq) * w * dt)
         b = [math.sqrt(dt) * w / sq]
-        for rows in _row_chunks(*z.shape):
+        for rows in row_blocks(*z.shape):
             x1[rows] += recurrence(b, [1.0, -lam], ell * z[rows]).imag
         rho, mu = abs(lam) ** 2, lam * lam
         g = dt * (w / sq) ** 2 * rho * math.sin(w * sq * dt) ** 2
@@ -411,7 +390,7 @@ def _spectral_x1(params, t, dt, coef):
         ell = basis(p)
         mag = om ** 2 / np.sqrt((om ** 2 - w ** 2) ** 2 + (2 * zeta * om * w) ** 2)
         var += ell * (2 * dw * (mag[1:] ** 2).sum())
-        for rows in _row_chunks(n, m):
+        for rows in row_blocks(n, m):
             y = np.fft.irfft(coef[rows] * mag, n=2 * big_k, axis=-1)
             for i0 in range(0, m, 2 * big_k):  # m <= 2K + 1: one wrapped sample
                 i1 = min(m, i0 + 2 * big_k)

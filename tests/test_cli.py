@@ -283,6 +283,18 @@ def test_bad_manifest_entry_is_data_error(catalog_dir, tmp_path, capsys,
                       tmp_path / "o", "entry rec03", capsys)
 
 
+@pytest.mark.parametrize("command", ["spectrum", "convert"])
+def test_infinite_dt_is_data_error(catalog_dir, tmp_path, capsys, command):
+    # "DT= 1e999" parses to inf; convert would write "DT= inf", which no
+    # parser reads back
+    at2 = (catalog_dir / "rec00.AT2").read_text()
+    assert "DT= 0.02 " in at2
+    (tmp_path / "inf.AT2").write_text(at2.replace("DT= 0.02 ", "DT= 1e999 "))
+    (tmp_path / "m.txt").write_text("id = rec00\npath = inf.AT2\n")
+    assert_data_error([command, "--manifest", str(tmp_path / "m.txt")],
+                      tmp_path / "o", "entry rec00: record rec00: dt must be finite", capsys)
+
+
 @pytest.mark.parametrize("command,periods", [
     ("spectrum", "0:10:20"),
     ("spectrum", "10:0.05:20"),
@@ -528,4 +540,11 @@ def test_run_log_spectra_health(catalog_dir, tmp_path, command):
         assert main([command, "--manifest", str(catalog_dir / "manifest.txt"),
                      "--out", str(out), "--periods", "0.03:2:6"]) == 0
     result = json.loads((out / "run_log.json").read_text())["result"]
-    assert result["health"] == {"under_resolved_periods": 12, "max_refine": 22}
+    health = {"under_resolved_periods": 12, "max_refine": 22}
+    if command == "sensitivity":
+        # the periods of each fc scenario whose variance is not positive
+        health["negative_variance_periods"] = {"const_fc": 0, "no_cov": 0}
+        header, rows = read_csv(out / "variance_scenarios.csv")
+        assert {mode: sum(float(row[header.index(f"var_{mode}")]) <= 0 for row in rows)
+                for mode in ("const_fc", "no_cov")} == health["negative_variance_periods"]
+    assert result["health"] == health

@@ -1,12 +1,13 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter, sosfilt
 
-from stochgm import (batch_log_sa, compute_sa, resp_spectrum, simulate_spectral,
-                     standard_period_grid)
+from stochgm import (batch_log_sa, compute_sa, highpass, resp_spectrum,
+                     simulate_spectral, simulate_temporal, standard_period_grid)
 from stochgm.errors import DataError
 from stochgm.gm_model import SimBatch
 from stochgm.resp_spectrum import (PeriodUnderResolved, batch_sa_matrix, log_sa,
@@ -255,3 +256,43 @@ class TestExactKernel:
         with pytest.raises(ValueError, match="strictly increasing"):
             compute_sa(np.sin(np.linspace(0, 10, 200)), 0.01, periods)
         assert calls == []
+
+
+class TestRowBlocks:
+    """resp_spectrum.row_blocks is the one rule by which the engines, the
+    high-pass and the spectra stream a batch: rows are independent, so the
+    block size moves no bit, and a refined period holds only a block's
+    temporaries."""
+
+    @pytest.mark.parametrize("period,refine", [(0.05, 7), (0.2, 2)])
+    def test_refined_peak_memory(self, period, refine):
+        """tracemalloc peak of batch_sa_matrix at n = 200, m = 6,001, in
+        (n, m) float64 arrays: u and v of the whole batch, stacked into
+        (4, n, m - 1), would hold 6.1."""
+        assert resp_spectrum.refine_factor(0.01, period) == refine
+        x = np.random.default_rng(3).standard_normal((200, 6001))
+        batch_sa_matrix(x[:2], 0.01, [period])  # first-call caches
+        tracemalloc.start()
+        try:
+            batch_sa_matrix(x, 0.01, [period])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * x.nbytes
+
+    def outputs(self, base_params):
+        rng = np.random.default_rng(11)
+        # refine 64 and 11 at dt = 0.01 s, then two plain periods
+        periods = [0.005, 0.03, 0.5, 2.0]
+        out = [batch_sa_matrix(rng.standard_normal((5, m)), 0.01, periods)
+               for m in (1, 2, 300)]
+        out.append(highpass(rng.standard_normal((5, 300)), 0.5, 0.01))
+        out += [engine(base_params, 0.02, 60, seed=4).realizations
+                for engine in (simulate_temporal, simulate_spectral)]
+        return [a.tobytes() for a in out]
+
+    @pytest.mark.parametrize("block", [1, 1 << 24])
+    def test_outputs_do_not_depend_on_block(self, monkeypatch, base_params, block):
+        default = self.outputs(base_params)
+        monkeypatch.setattr(resp_spectrum, "_BLOCK", block)
+        assert self.outputs(base_params) == default
