@@ -137,17 +137,17 @@ def write_at2(record):
     rec = record
     if rec.unit != "g":
         rec = replace(rec, accel=rec.accel / G_ACCEL, unit="g")
-    out = [
+    header = [
         rec.id,
         "stochgm export",
         "ACCELERATION TIME SERIES IN UNITS OF G",
         f"NPTS= {rec.npts:6d}, DT= {float(rec.dt)!r}  SEC",
     ]
-    # as "{v:15.7e}", but a negative 3-digit exponent cannot fuse values
-    vals = [f" {v:14.7e}" for v in rec.accel.tolist()]
-    for i in range(0, len(vals), 5):
-        out.append("".join(vals[i:i + 5]))
-    return "\n".join(out) + "\n"
+    # as "{v:15.7e}", but a negative 3-digit exponent cannot fuse values;
+    # one % over the whole body, 5 values a line
+    full, rest = divmod(rec.npts, 5)
+    body = (" %14.7e" * 5 + "\n") * full + (" %14.7e" * rest + "\n" if rest else "")
+    return "\n".join(header) + "\n" + body % tuple(rec.accel.tolist())
 
 
 def parse_manifest(text):
@@ -160,6 +160,10 @@ def parse_manifest(text):
             return
         if "id" not in block or "path" not in block:
             raise DataError(f"manifest entry missing id/path: {block}")
+        # an id names the entry's output files, which stay inside --out
+        rid = block["id"]
+        if rid in ("", ".", "..") or any(c and c in rid for c in ("/", os.sep, os.altsep)):
+            raise DataError(f"entry {rid!r}: id must be a plain file name")
         params = {}
         for k in PARAM_KEYS:
             if k in block:

@@ -5,15 +5,21 @@ exponential; log AI -> normal; D5-95, t_mid and the filter bandwidth ->
 beta on data-driven bounds; filter frequency -> gamma; frequency rate ->
 normal. Bounded supports are widened by 5% of the data range on each side
 before fitting.
+
+The distribution functions call the scipy.special functions that
+scipy.stats calls, with its argument arithmetic and support masks, so the
+module loads neither scipy.stats (about 1.2 s of import) nor
+scipy.optimize.
 """
 
 import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
-from .errors import DataError
+from .errors import DataError, NumericalError
+from .gm_model import _brentq
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +36,10 @@ class MarginalModel:
     support: tuple
 
     def _dist(self):
+        """The frozen scipy.stats distribution, the reference for cdf and
+        ppf; no program path calls it."""
+        from scipy import stats
+
         lo, hi = self.support
         if self.family == "normal":
             return stats.norm(*self.params)
@@ -41,11 +51,39 @@ class MarginalModel:
             return stats.beta(self.params[0], self.params[1], loc=lo, scale=hi - lo)
         raise ValueError(f"unknown family {self.family!r}")
 
-    def cdf(self, x):
-        return self._dist().cdf(x)
+    def _standard(self):
+        """loc, scale, the standard form's cdf and ppf, and its support
+        (a, b), as scipy.stats parametrizes the family."""
+        p = self.params
+        if self.family == "normal":
+            return p[0], p[1], special.ndtr, special.ndtri, (-np.inf, np.inf)
+        if self.family == "exponential":
+            return (0.0, 1.0 / p[0], lambda z: -special.expm1(-z),
+                    lambda q: -special.log1p(-q), (0.0, np.inf))
+        if self.family == "gamma":
+            return (0.0, p[1], lambda z: special.gammainc(p[0], z),
+                    lambda q: special.gammaincinv(p[0], q), (0.0, np.inf))
+        if self.family == "beta":
+            lo, hi = self.support
+            return (lo, hi - lo, lambda z: special.betainc(*p, z),
+                    lambda q: special.betaincinv(*p, q), (0.0, 1.0))
+        raise ValueError(f"unknown family {self.family!r}")
 
-    def ppf(self, u):
-        return self._dist().ppf(u)
+    def cdf(self, x):
+        """F(x): 0 at and below the support, 1 at and above it, NaN at NaN."""
+        loc, scale, cdf, _, (a, b) = self._standard()
+        z = (np.asarray(x, dtype=float) - loc) / scale
+        with np.errstate(invalid="ignore"):
+            return np.where(z <= a, 0.0, np.where(z >= b, 1.0, cdf(z)))
+
+    def ppf(self, q):
+        """F^-1(q): the support's ends at q = 0 and 1, NaN outside [0, 1]."""
+        loc, scale, _, ppf, (a, b) = self._standard()
+        q = np.asarray(q, dtype=float)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            inner = np.where((0 < q) & (q < 1), ppf(q) * scale + loc, np.nan)
+        return np.where(q == 0, a * scale + loc,
+                        np.where(q == 1, b * scale + loc, inner))
 
 
 @dataclass(frozen=True)
@@ -87,14 +125,40 @@ def fit_marginal(samples, family):
     if family == "gamma":
         if np.any(x <= 0):
             raise DataError("gamma requires positive samples")
-        a, _, scale = stats.gamma.fit(x, floc=0.0)
-        return MarginalModel("gamma", (float(a), float(scale)), (0.0, np.inf))
+        # as scipy.stats.gamma.fit(x, floc=0): log a - digamma(a) = s on
+        # its bracket around the closed-form estimate, by the same iterates
+        s = np.log(x.mean()) - np.log(x).mean()
+        aest = (3 - s + np.sqrt((s - 3) ** 2 + 24 * s)) / (12 * s)
+        a = _brentq(lambda a: np.log(a) - special.digamma(a) - s,
+                    aest * (1 - 0.4), aest * (1 + 0.4), xtol=2e-12)
+        return MarginalModel("gamma", (float(a), float(x.mean() / a)), (0.0, np.inf))
     if family == "beta":
         margin = BOUND_MARGIN * np.ptp(x)
         lo, hi = float(x.min() - margin), float(x.max() + margin)
-        a, b, _, _ = stats.beta.fit(x, floc=lo, fscale=hi - lo)
-        return MarginalModel("beta", (float(a), float(b)), (lo, hi))
+        return MarginalModel("beta", _beta_mle((x - lo) / (hi - lo)), (lo, hi))
     raise ValueError(f"unknown family {family!r}")
+
+
+def _beta_mle(x):
+    """Maximum-likelihood beta (a, b) of x in (0, 1): Newton on
+    digamma(a) - digamma(a + b) = mean log x and digamma(b) - digamma(a + b)
+    = mean log(1 - x) with the trigamma Jacobian, started, as
+    scipy.stats.beta.fit starts, from the method of moments. The
+    log-likelihood is concave; a step is halved only to keep a, b > 0."""
+    g = np.array([np.log(x).mean(), special.log1p(-x).mean()])
+    xbar = x.mean()
+    fac = xbar * (1 - xbar) / x.var() - 1
+    ab = np.array([xbar * fac, (1 - xbar) * fac])
+    for _ in range(100):
+        resid = special.digamma(ab) - special.digamma(ab.sum()) - g
+        t, t0 = special.polygamma(1, ab), special.polygamma(1, ab.sum())
+        step = np.linalg.solve([[t[0] - t0, -t0], [-t0, t[1] - t0]], resid)
+        while np.any(step >= ab):
+            step /= 2
+        ab -= step
+        if np.all(np.abs(step) <= 1e-13 * ab):
+            return float(ab[0]), float(ab[1])
+    raise NumericalError("beta likelihood did not converge in 100 steps")
 
 
 def fit_copula(theta_matrix, marginals):
@@ -109,7 +173,7 @@ def fit_copula(theta_matrix, marginals):
         raise ValueError("theta_matrix must have one column per marginal")
     u = np.column_stack([m.cdf(theta[:, j]) for j, m in enumerate(marginals)])
     u = np.clip(u, 1e-12, 1 - 1e-12)
-    z = stats.norm.ppf(u)
+    z = special.ndtri(u)
     corr = np.corrcoef(z, rowvar=False)
     corr = (corr + corr.T) / 2
     np.fill_diagonal(corr, 1.0)
@@ -133,7 +197,7 @@ def sample_params(model, n, seed):
         chol = vecs @ np.diag(np.sqrt(np.clip(vals, 0.0, None)))
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     z = gen.standard_normal((n, p)) @ chol.T
-    u = np.clip(stats.norm.cdf(z), 1e-15, 1 - 1e-15)
+    u = np.clip(special.ndtr(z), 1e-15, 1 - 1e-15)
     return np.column_stack([m.ppf(u[:, j]) for j, m in enumerate(model.marginals)])
 
 

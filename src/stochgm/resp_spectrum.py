@@ -125,7 +125,8 @@ def recurrence(b, a, x, zi=None, size=None):
         k = min(size, zi.shape[-1])
         y[..., :k] += zi[..., :k]
     ab = np.empty((len(a), size), y.dtype, order="F")  # C order is copied per call
-    ab[...] = np.reshape(a, (-1, 1))
+    for i, ai in enumerate(a):  # a row at a time: a broadcast walks F order by 3s
+        ab[i] = ai
     solve = ztbtrs if np.iscomplexobj(y) else dtbtrs
     _, info = solve(ab, y2.T, uplo="L", diag="U", overwrite_b=1)
     if info:
@@ -141,6 +142,30 @@ def refine_factor(dt, period):
     return max(1, math.ceil(MIN_SAMPLES_PER_CYCLE * dt / period))
 
 
+@functools.lru_cache(maxsize=1024)
+def _plan(dt, period, damping, refine):
+    """Everything peak_displacement needs of (dt, period, damping) at
+    `refine` reads per step, computed once per process: the denominator a
+    of the difference equations, the numerators bu, bv of u and v = u' with
+    the first-sample terms zu, zv that start them at u_0 = v_0 = 0, and the
+    (refine - 1, 4) sub-step matrix. Every caller shares the arrays, so
+    they are read-only."""
+    omega = 2 * math.pi / period
+    (a11, a12, a21, a22), (b11, b12, b21, b22), a = _sdof_step(omega, damping, dt)
+    bu = (b12, b11 + a12 * b22 - a22 * b12, a12 * b21 - a22 * b11)
+    bv = (b22, b21 + a21 * b12 - a11 * b22, a21 * b11 - a11 * b21)
+    # u(t_k + w dt) = A(w dt) (u_k, v_k) + B(w dt) (f_k, (1 - w) f_k + w f_k+1)
+    coef = []
+    for w in (q / refine for q in range(1, refine)):
+        (s11, s12, _, _), (c11, c12, _, _), _ = _sdof_step(omega, damping, w * dt)
+        coef.append((s11, s12, c11 + c12 * (1 - w), c12 * w))
+    arrays = (np.array([-bu[0], b11 - bu[1]]), np.array([-bv[0], b21 - bv[1]]),
+              np.array(coef))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return (a, bu, bv) + arrays
+
+
 def peak_displacement(accel, dt, period, damping):
     """Peak absolute SDOF relative displacement; accel may be (m,) or (n, m).
     The peak is read at the samples and, for short periods, at
@@ -149,28 +174,18 @@ def peak_displacement(accel, dt, period, damping):
     # u of -accel is exactly -u of accel, so the peak reads accel as given
     f = np.atleast_2d(np.asarray(accel, dtype=float))
     n, m = f.shape
-    omega = 2 * math.pi / period
-    (a11, a12, a21, a22), (b11, b12, b21, b22), a = _sdof_step(omega, damping, dt)
-    # u and v = u' as difference equations over a, started at u_0 = v_0 = 0
-    bu = (b12, b11 + a12 * b22 - a22 * b12, a12 * b21 - a22 * b11)
-    bv = (b22, b21 + a21 * b12 - a11 * b22, a21 * b11 - a11 * b21)
     refine = refine_factor(dt, period) if m > 1 else 1
-    # u(t_k + w dt) = A(w dt) (u_k, v_k) + B(w dt) (f_k, (1 - w) f_k + w f_k+1)
-    coef = []
-    for w in (q / refine for q in range(1, refine)):
-        (s11, s12, _, _), (c11, c12, _, _), _ = _sdof_step(omega, damping, w * dt)
-        coef.append((s11, s12, c11 + c12 * (1 - w), c12 * w))
-    coef = np.array(coef)
+    a, bu, bv, zu, zv, coef = _plan(float(dt), float(period), float(damping), refine)
     peak = np.empty(n)
     # a plain period reads u alone, in one recurrence over the whole batch:
     # blocks of a few long rows would rebuild the band matrix per block
     for rows in row_blocks(n, refine * m) if refine > 1 else [slice(None)]:
         fr = f[rows]
-        u = recurrence(bu, a, fr, zi=fr[:, :1] * [-bu[0], b11 - bu[1]])
+        u = recurrence(bu, a, fr, zi=fr[:, :1] * zu)
         # max |u| without an |u| temporary; abs keeps a zero peak at +0
         peak[rows] = np.abs(np.maximum(u.max(axis=-1), -u.min(axis=-1)))
         if refine > 1:
-            v = recurrence(bv, a, fr, zi=fr[:, :1] * [-bv[0], b21 - bv[1]])
+            v = recurrence(bv, a, fr, zi=fr[:, :1] * zv)
             x = np.stack([u[:, :-1], v[:, :-1], fr[:, :-1], fr[:, 1:]])  # (4, rows, m - 1)
             sub = np.abs(coef @ x.reshape(4, -1)).reshape(refine - 1, -1, m - 1)
             peak[rows] = np.maximum(peak[rows], sub.max(axis=(0, 2)))

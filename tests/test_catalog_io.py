@@ -76,6 +76,24 @@ def test_write_at2_text_as_numpy_formats_it():
                                   [float(c) for c in cells])
 
 
+def per_value_at2(rec):
+    """write_at2's text built one value at a time, the reference for its
+    one-% body."""
+    cells = [f" {v:14.7e}" for v in rec.accel.tolist()]
+    return "\n".join([rec.id, "stochgm export", "ACCELERATION TIME SERIES IN UNITS OF G",
+                      f"NPTS= {rec.npts:6d}, DT= {float(rec.dt)!r}  SEC"]
+                     + ["".join(cells[i:i + 5]) for i in range(0, len(cells), 5)]) + "\n"
+
+
+@pytest.mark.parametrize("npts", [2, 4, 5, 6, 10, 11])
+def test_write_at2_equals_per_value_formatting(npts):
+    vals = np.random.default_rng(npts).standard_normal(npts) * 10.0 ** np.arange(npts)
+    vals[::3] *= -1
+    vals[1] = -1e-120
+    rec = AccelerogramRecord(id="r", dt=0.005, accel=vals)
+    assert write_at2(rec) == per_value_at2(rec)
+
+
 def test_parse_at2_lines_without_leading_blanks():
     text = "r\nsource\nunits\nNPTS= 5, DT= 0.01 SEC\n0.1 -0.2\n3e-5\n-4.0E+00 0.5\n"
     np.testing.assert_array_equal(parse_at2(text).accel, [0.1, -0.2, 3e-5, -4.0, 0.5])
@@ -120,6 +138,13 @@ def test_parse_manifest():
 def test_manifest_duplicate_ids():
     with pytest.raises(DataError, match="duplicate entry ids"):
         parse_manifest("id = a\npath = p\n\nid = a\npath = q\n")
+
+
+@pytest.mark.parametrize("rec_id", ["", ".", "..", "../escaped", "a/b", "/abs"])
+def test_manifest_id_must_be_a_file_name(rec_id):
+    # an id names output files, so it must not reach outside --out
+    with pytest.raises(DataError, match="id must be a plain file name"):
+        parse_manifest(f"id = ok\npath = p\n\nid = {rec_id}\npath = q\n")
 
 
 def test_load_catalog(tmp_path):

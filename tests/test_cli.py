@@ -1,11 +1,12 @@
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
 from stochgm import GMParams, simulate_spectral, write_at2
-from stochgm.catalog_io import AccelerogramRecord, parse_manifest
+from stochgm.catalog_io import G_ACCEL, AccelerogramRecord, load_catalog, parse_manifest
 from stochgm import cli, fc_opt
 from stochgm.cli import main
 from stochgm.gm_model import apply_highpass, highpass_pad
@@ -116,6 +117,23 @@ def test_convert(catalog_dir, tmp_path):
                  "--out", str(out)]) == 0
     assert (out / "rec00.AT2").exists()
     assert (out / "rec00.csv").exists()
+
+
+@pytest.mark.parametrize("npts", [2, 4, 5, 6, 10, 11])
+def test_convert_csv_as_csv_module_writes_it(tmp_path, npts):
+    # the one-% body is the text csv.writer makes of per-value strings
+    vals = [0.5, -1e-120, 3.25e7, -0.0, 1 / 3, -2e-5, 7.0, -8e120, 1e-300, 2.0, -1.0]
+    rec = AccelerogramRecord(id="r", dt=0.0137, accel=vals[:npts])
+    (tmp_path / "r.AT2").write_text(write_at2(rec))
+    (tmp_path / "m.txt").write_text("id = r\npath = r.AT2\n")
+    assert main(["convert", "--manifest", str(tmp_path / "m.txt"),
+                 "--out", str(tmp_path / "out")]) == 0
+    si = load_catalog(str(tmp_path / "m.txt")).records[0]
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows(
+        [("t_s", "accel_g")] + [(f"{i * si.dt:.6g}", f"{a / G_ACCEL:.7e}")
+                                for i, a in enumerate(si.accel)])
+    assert (tmp_path / "out" / "r.csv").read_bytes() == expected.getvalue().encode()
 
 
 def test_simulate_deterministic(catalog_dir, tmp_path):
@@ -281,6 +299,16 @@ def test_bad_manifest_entry_is_data_error(catalog_dir, tmp_path, capsys,
     flags = ["--n", "2"] if command == "simulate" else []
     assert_data_error([command, "--manifest", manifest] + flags,
                       tmp_path / "o", "entry rec03", capsys)
+
+
+@pytest.mark.parametrize("command,rec_id", [("convert", "../escaped"),
+                                            ("spectrum", "a/b")])
+def test_id_outside_out_is_data_error(catalog_dir, tmp_path, capsys, command, rec_id):
+    (tmp_path / "m.txt").write_text(f"id = {rec_id}\npath = {catalog_dir / 'rec00.AT2'}\n")
+    before = sorted(tmp_path.rglob("*"))
+    assert_data_error([command, "--manifest", str(tmp_path / "m.txt")],
+                      tmp_path / "o", f"entry {rec_id!r}", capsys)
+    assert sorted(tmp_path.rglob("*")) == before + [tmp_path / "o", tmp_path / "o" / "run_log.json"]
 
 
 @pytest.mark.parametrize("command", ["spectrum", "convert"])
@@ -529,6 +557,18 @@ def test_run_log_timing_and_versions(catalog_dir, tmp_path, periods, status):
     assert isinstance(run_log["elapsed_s"], float) and run_log["elapsed_s"] >= 0
     assert set(run_log["versions"]) == {"python", "numpy", "scipy", "stochgm"}
     assert all(isinstance(v, str) and v for v in run_log["versions"].values())
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--periods", "0.5:2:4"],
+                                  ["sample-params", "--n", "10"]])
+def test_run_log_peak_rss(catalog_dir, tmp_path, argv):
+    out = tmp_path / "rss"
+    assert main(argv + ["--manifest", str(catalog_dir / "manifest.txt"),
+                        "--out", str(out)]) == 0
+    run_log = json.loads((out / "run_log.json").read_text())
+    # this process's own peak: it holds at least the interpreter and numpy
+    assert isinstance(run_log["peak_rss_mb"], float) and run_log["peak_rss_mb"] > 10
+    assert "peak_rss_mb" not in run_log["result"]
 
 
 @pytest.mark.parametrize("command", ["spectrum", "stats", "sensitivity"])

@@ -1,9 +1,10 @@
 """What each entry point imports. The package resolves its public names on
 first use and the CLI imports per subcommand, so a process that only
 parses arguments or converts records never loads scipy's signal, stats or
-optimize packages; nor does spectrum, simulate or fit-fc, which need only
-scipy.linalg.lapack and scipy.special. Each check runs in a fresh
-interpreter, because this test process has imported everything already."""
+optimize packages; nor do spectrum, simulate, fit-fc or sample-params,
+which need only scipy.linalg.lapack and scipy.special. Each check runs in
+a fresh interpreter, because this test process has imported everything
+already."""
 
 import os
 import subprocess
@@ -74,6 +75,28 @@ def test_computing_subcommands_load_no_heavy_scipy(tmp_path, argv):
                                     "--out", {str(tmp_path / "out")!r}]) == 0
         assert not [m for m in {HEAVY!r} if m in sys.modules], sys.modules
     """)
+
+
+def test_sample_params_loads_no_heavy_scipy(tmp_path):
+    # the marginals and the copula run on scipy.special alone
+    rec = AccelerogramRecord(id="r0", dt=0.01, accel=np.sin(np.arange(500) / 5.0))
+    (tmp_path / "r0.AT2").write_text(write_at2(rec))
+    rng = np.random.default_rng(0)
+    (tmp_path / "m.txt").write_text("\n".join(
+        f"id = r{i}\npath = r0.AT2\nlog_ai = {rng.normal(-1, 0.3)}\n"
+        f"d595 = {rng.uniform(1, 3)}\nt_mid = {rng.uniform(1.5, 2.5)}\n"
+        f"omega_mid = {rng.uniform(10, 20)}\nomega_rate = {rng.normal(0, 0.1)}\n"
+        f"zeta_f = {rng.uniform(0.2, 0.5)}\nfc_hz = {rng.uniform(0.1, 0.5)}\n"
+        for i in range(8)))
+    run_fresh(f"""
+        import sys
+        from stochgm import cli
+        assert cli.main(["sample-params", "--n", "20",
+                         "--manifest", {str(tmp_path / "m.txt")!r},
+                         "--out", {str(tmp_path / "out")!r}]) == 0
+        assert not [m for m in {HEAVY!r} if m in sys.modules], sys.modules
+    """)
+    assert (tmp_path / "out" / "sampled_params.csv").exists()
 
 
 def test_public_names_resolve_lazily():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from stochgm import (JointParamModel, MarginalModel, fit_copula, fit_marginal,
                      sample_params)
@@ -43,6 +43,51 @@ class TestFitMarginal:
             fit_marginal([1.0, 1.0, 1.0, 1.0, 1.0], "normal")
         with pytest.raises(DataError, match="at least 5 samples"):
             fit_marginal([1.0, 2.0], "normal")
+
+
+MARGINALS = (MarginalModel("normal", (1.3, 0.7), (-np.inf, np.inf)),
+             MarginalModel("exponential", (2.5,), (0.0, np.inf)),
+             MarginalModel("gamma", (3.3, 1.7), (0.0, np.inf)),
+             MarginalModel("beta", (0.83, 2.4), (0.5, 4.5)))
+
+
+class TestAgainstScipyStats:
+    """cdf, ppf and the gamma fit call scipy.special as scipy.stats does, so
+    they give its bits; the beta fit solves the same likelihood equations
+    by another method."""
+
+    @pytest.mark.parametrize("m", MARGINALS, ids=lambda m: m.family)
+    def test_cdf_ppf_bits(self, m):
+        rng = np.random.default_rng(12)
+        # interior points, the support's ends and points outside it
+        x = np.concatenate([rng.normal(2.0, 3.0, 2000),
+                            [-np.inf, np.inf, np.nan, 0.0, -0.0, 0.5, 4.5, 5.0, -1.0]])
+        q = np.concatenate([rng.random(2000),
+                            [0.0, 1.0, -0.1, 1.1, np.nan, 1e-300, 1 - 1e-16, 0.5]])
+        assert m.cdf(x).tobytes() == m._dist().cdf(x).tobytes()
+        assert m.ppf(q).tobytes() == m._dist().ppf(q).tobytes()
+
+    def test_gamma_fit_is_scipys(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            x = rng.gamma(rng.uniform(0.3, 20.0), rng.uniform(0.1, 10.0),
+                          rng.integers(5, 200))
+            a, _, scale = stats.gamma.fit(x, floc=0)
+            assert fit_marginal(x, "gamma").params == (a, scale)
+
+    def test_beta_fit_solves_likelihood(self):
+        rng = np.random.default_rng(14)
+        for _ in range(50):
+            x = rng.beta(rng.uniform(0.3, 30.0), rng.uniform(0.3, 30.0),
+                         rng.integers(5, 200))
+            m = fit_marginal(x, "beta")
+            (a, b), (lo, hi) = m.params, m.support
+            y = (x - lo) / (hi - lo)
+            psi = special.digamma
+            assert abs(psi(a) - psi(a + b) - np.log(y).mean()) < 1e-12
+            assert abs(psi(b) - psi(a + b) - np.log1p(-y).mean()) < 1e-12
+            ref = stats.beta.fit(x, floc=lo, fscale=hi - lo)[:2]
+            np.testing.assert_allclose((a, b), ref, rtol=1e-8, atol=0)
 
 
 class TestFitCopula:

@@ -296,3 +296,29 @@ class TestRowBlocks:
         default = self.outputs(base_params)
         monkeypatch.setattr(resp_spectrum, "_BLOCK", block)
         assert self.outputs(base_params) == default
+
+
+class TestStepPlan:
+    """peak_displacement's per-(dt, period, damping) set-up is computed once
+    per process (resp_spectrum._plan); a cached plan gives the same bits as
+    a fresh one, and no caller can change it."""
+
+    def test_cold_cache_equals_warm(self):
+        x = np.random.default_rng(5).standard_normal(1500)
+        # refined (0.03 s, 0.1 s at dt = 0.01 s) and plain periods
+        periods = [0.03, 0.1, 0.5, 2.0, 8.0]
+        warm = compute_sa(x, 0.01, periods).sa
+        assert resp_spectrum._plan.cache_info().currsize > 0
+        resp_spectrum._plan.cache_clear()
+        cold = compute_sa(x, 0.01, periods).sa
+        assert cold.tobytes() == warm.tobytes()
+        assert compute_sa(x, 0.01, periods).sa.tobytes() == warm.tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        plan = resp_spectrum._plan(0.01, 0.03, 0.05, resp_spectrum.refine_factor(0.01, 0.03))
+        arrays = [v for v in plan if isinstance(v, np.ndarray)]
+        assert len(arrays) == 3 and arrays[-1].shape == (10, 4)
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[...] = 0
