@@ -43,8 +43,10 @@ DEFAULT_SEED = 20240715
 CORR_PANEL_T2 = (0.1, 0.5, 1.0, 4.0)
 # realizations x padded samples of one record's simulation (--n or --mc):
 # 128 MiB per float64 array; either engine peaks at 2.3 (n, m) arrays, the
-# high-pass at two (n, m + pad). Its square root caps the --periods COUNT,
-# the side of the COUNT x COUNT correlation matrices
+# high-pass at two (n, m + pad). It also caps sample-params' --n x 7 draws
+# and a record's refine factor at the --periods LO x its samples, the size
+# of the sub-step product of a refined spectrum. Its square root caps the
+# --periods COUNT, the side of the COUNT x COUNT correlation matrices
 MAX_SIM_ELEMENTS = 2 ** 24
 
 
@@ -81,7 +83,7 @@ def _check_args(args):
         from . import fc_opt
         try:
             args.fc_search = fc_opt.FcSearchConfig(
-                *args.fc_grid, n_mc=args.mc, seed=args.seed, bracket=True)
+                *args.fc_grid, n_mc=args.mc, seed=args.seed)
         except ValueError as exc:
             raise DataError(f"--fc-grid/--mc: {exc}") from exc
 
@@ -106,16 +108,31 @@ def entry_params(entry, record, fc_default=None):
     return GMParams(**p)
 
 
-def _load(manifest, params=False, fc_default=None, draws=None):
+def _load(manifest, params=False, fc_default=None, draws=None, periods=None):
     """The non-empty catalog at `manifest` and, with params, each record's
     GMParams by id (entries and records pair by position: load_catalog
     builds both in manifest order). With draws = (flag, n, corners), every
     corner must suit the record's dt (highpass_pad), and n realizations of
     its simulation, padded for the largest of their high-pass pads, must
-    fit in MAX_SIM_ELEMENTS; corners None means the entry's fc_hz."""
+    fit in MAX_SIM_ELEMENTS; corners None means the entry's fc_hz. With
+    periods, each record's refine factor at the shortest period times its
+    samples must fit in MAX_SIM_ELEMENTS."""
     catalog = load_catalog(manifest)
     if len(catalog) == 0:
         raise DataError(f"catalog from {manifest} is empty")
+    if periods is not None:
+        from .resp_spectrum import MIN_SAMPLES_PER_CYCLE
+
+        lo = float(periods.min())
+        for rec in catalog:
+            # refine_factor(dt, lo) is ceil(reads), kept a float: a subnormal
+            # LO gives inf, not an OverflowError. A plain period (reads <= 1)
+            # has no sub-step product
+            reads = MIN_SAMPLES_PER_CYCLE * rec.dt / lo
+            if reads > max(1, MAX_SIM_ELEMENTS // rec.npts):
+                raise DataError(f"entry {rec.id}: --periods LO {lo:g} s: refine "
+                                f"factor {np.ceil(reads):g} x {rec.npts} samples "
+                                f"exceeds {MAX_SIM_ELEMENTS} elements")
     if not params:
         return catalog
     from .gm_model import highpass_pad, n_samples
@@ -139,12 +156,12 @@ def _load(manifest, params=False, fc_default=None, draws=None):
     return catalog, built
 
 
-def _theta(manifest, command):
+def _theta(manifest, command, periods=None):
     """The catalog and its (n_records, 7) parameter matrix, columns ordered
     as sensitivity.PARAM_LABELS; every entry must supply fc_hz."""
     from . import sensitivity
 
-    catalog, params = _load(manifest, params=True)
+    catalog, params = _load(manifest, params=True, periods=periods)
     for rec_id, p in params.items():
         if p.fc_hz is None:
             raise DataError(f"entry {rec_id}: {command} needs fc_hz in manifest")
@@ -253,7 +270,7 @@ def cmd_simulate(args):
 def cmd_spectrum(args):
     from .resp_spectrum import compute_sa
 
-    catalog = _load(args.manifest)
+    catalog = _load(args.manifest, periods=args.periods)
     spectra = []
     for rec in catalog:
         spec = compute_sa(rec.accel, rec.dt, args.periods)
@@ -316,14 +333,15 @@ def cmd_stats(args):
     from . import svgplot
 
     periods = args.periods
+    # both catalogs pass the input checks before any spectrum is computed
+    catalogs = {tag: _load(manifest, periods=periods) for tag, manifest in
+                (("recorded", args.manifest), ("synthetic", args.compare)) if manifest}
     stats, records, spectra = {}, [], []
-    for tag, manifest in (("recorded", args.manifest), ("synthetic", args.compare)):
-        if manifest:
-            catalog = _load(manifest)
-            log_sa, specs = _catalog_log_sa(catalog, periods, args.jobs)
-            stats[tag] = _stats_outputs(tag, log_sa, periods, args.out)
-            records += catalog.records
-            spectra += specs
+    for tag, catalog in catalogs.items():
+        log_sa, specs = _catalog_log_sa(catalog, periods, args.jobs)
+        stats[tag] = _stats_outputs(tag, log_sa, periods, args.out)
+        records += catalog.records
+        spectra += specs
 
     # quantile/std chart, one panel per statistic
     charts = []
@@ -356,7 +374,7 @@ def cmd_stats(args):
 def cmd_sensitivity(args):
     from . import sensitivity, svgplot
 
-    catalog, theta = _theta(args.manifest, "sensitivity")
+    catalog, theta = _theta(args.manifest, "sensitivity", args.periods)
     try:
         dm = sensitivity.DesignMatrix(theta)
     except ValueError as exc:
@@ -413,6 +431,10 @@ def cmd_sensitivity(args):
 def cmd_sample_params(args):
     from . import param_dist, sensitivity
 
+    k = len(sensitivity.PARAM_LABELS)
+    if args.n * k > MAX_SIM_ELEMENTS:
+        raise DataError(f"--n {args.n} samples x {k} parameters exceeds "
+                        f"{MAX_SIM_ELEMENTS} elements")
     _, theta = _theta(args.manifest, "sample-params")
 
     marginals = tuple(

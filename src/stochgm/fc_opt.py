@@ -13,24 +13,21 @@ run-to-run deterministic.
 
 Under common random numbers the signed bias S(fc) rises with fc (a higher
 corner removes more long-period energy), so argmin |S| sits at S's sign
-change. With ``FcSearchConfig(bracket=True)`` the search evaluates the two
-grid ends and, when S(lo) < 0 <= S(hi), narrows the bracket on grid
-indices down to an adjacent pair by false position with the Illinois
-modification (Dowell & Jarratt 1971, BIT 11): each step evaluates the grid
-index nearest the secant's root, and when the same end moves twice in a
-row the other end's S is halved in the interpolation. Each step is
-projected into the indices from which bisection still closes the bracket
-within a budget of 2 * ceil(log2(n - 1)) interior evaluations, so a grid of
-n points costs at most 2 + 2 * ceil(log2(n - 1)) evaluations (18 on the
-default 201-point grid) against n for the full scan. On the smooth curves
-the model gives it typically takes 4-5, where bisection needs 9-10. When the
-ends bracket no sign change, or an evaluated S is not nondecreasing in fc,
-the rest of the grid is evaluated, so the result is the exhaustive one.
-Monotonicity is checked only at the evaluated points, so the bracketed fc*
-equals the exhaustive one when S is nondecreasing on the whole grid; a
-non-monotone stretch between evaluated points can go unseen. The
-exhaustive scan (``bracket=False``, the default) is the reference the
-bracketed search is tested against.
+change. The search evaluates the two grid ends and, when S(lo) < 0 <= S(hi),
+narrows the bracket on grid indices down to an adjacent pair by false
+position with the Illinois modification (Dowell & Jarratt 1971, BIT 11):
+each step evaluates the grid index nearest the secant's root, and when the
+same end moves twice in a row the other end's S is halved in the
+interpolation. Each step is projected into the indices from which bisection
+still closes the bracket within a budget of 2 * ceil(log2(n - 1)) interior
+evaluations, so a grid of n points costs at most 2 + 2 * ceil(log2(n - 1))
+evaluations (18 on the default 201-point grid) against n for the full scan.
+On the smooth curves the model gives it typically takes 4-6, where bisection
+needs 9-10. When the ends bracket no sign change, or an evaluated S is not
+nondecreasing in fc, the rest of the grid is evaluated, so the result is the
+exhaustive one. Monotonicity is checked only at the evaluated points, so fc*
+equals the exhaustive scan's when S is nondecreasing on the whole grid; a
+non-monotone stretch between evaluated points can go unseen.
 """
 
 import logging
@@ -57,7 +54,6 @@ class FcSearchConfig:
     step: float = 0.01
     n_mc: int = 100
     seed: int = 0
-    bracket: bool = False
 
     def __post_init__(self):
         if not (0 <= self.grid_lo <= self.grid_hi < math.inf
@@ -152,7 +148,8 @@ def _illinois(bias, n):
 def optimize_fc(record, params_no_fc, config=FcSearchConfig(), engine="spectral"):
     """Minimize epsilon(fc) over the grid with common random numbers and
     return the argmin over the evaluated candidates (ties break to the
-    smallest fc). See the module docstring for config.bracket."""
+    smallest fc). The candidates are the bracketing search's, or the whole
+    grid on fallback; see the module docstring."""
     record = record.to_si()
     real_log_sa = log_sa(compute_sa(record.accel, record.dt, MATCH_PERIODS).sa)
 
@@ -170,7 +167,7 @@ def optimize_fc(record, params_no_fc, config=FcSearchConfig(), engine="spectral"
             log.debug("fc=%.3f Hz -> S=%.4f", grid[i], signed[i])
         return signed[i]
 
-    fallback = not config.bracket or _illinois(bias, grid.size) is None
+    fallback = _illinois(bias, grid.size) is None
     if fallback:
         for i in range(grid.size):
             bias(i)

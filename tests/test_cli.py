@@ -391,10 +391,64 @@ def test_periods_cap_boundary(catalog_dir, tmp_path, capsys, monkeypatch):
     # COUNT x COUNT matrices: COUNT is capped at isqrt(MAX_SIM_ELEMENTS)
     monkeypatch.setattr(cli, "MAX_SIM_ELEMENTS", 24)
     manifest = str(catalog_dir / "manifest.txt")
-    assert main(["stats", "--manifest", manifest, "--periods", "0.5:2:4",
+    assert main(["stats", "--manifest", manifest, "--periods", "1:2:4",
                  "--out", str(tmp_path / "ok")]) == 0
-    assert_data_error(["stats", "--manifest", manifest, "--periods", "0.5:2:5"],
+    assert_data_error(["stats", "--manifest", manifest, "--periods", "1:2:5"],
                       tmp_path / "o", "COUNT in [2, 4]", capsys)
+
+
+def test_sample_params_n_cap_boundary(catalog_dir, tmp_path, capsys, monkeypatch):
+    # --n x 7 draws are capped before the fit: 10^12 draws would ask numpy
+    # for 51 TiB and end in a traceback with no run log
+    monkeypatch.setattr(cli, "MAX_SIM_ELEMENTS", 70)
+    manifest = str(catalog_dir / "manifest.txt")
+    assert main(["sample-params", "--manifest", manifest, "--n", "10",
+                 "--out", str(tmp_path / "ok")]) == 0
+    assert_data_error(["sample-params", "--manifest", manifest, "--n", "11"],
+                      tmp_path / "o", "--n 11 samples x 7 parameters exceeds 70",
+                      capsys)
+
+
+# LO 5.82e-5 s at dt 0.02 s gives refine factor ceil(0.64 / 5.82e-5) = 10997;
+# x 1527 samples is just past MAX_SIM_ELEMENTS = 2^24 (LO 5.83e-5 s is not)
+REFINE_OVER_CAP = "entry rec00: --periods LO 5.82e-05 s: refine factor 10997 x 1527"
+
+
+@pytest.mark.parametrize("command", ["spectrum", "stats", "sensitivity"])
+def test_refined_periods_over_cap_is_data_error(catalog_dir, tmp_path, capsys,
+                                                command):
+    assert_data_error([command, "--manifest", str(catalog_dir / "manifest.txt"),
+                       "--periods", "5.82e-5:1:2"], tmp_path / "o",
+                      REFINE_OVER_CAP, capsys)
+
+
+def test_refined_periods_cap_boundary(catalog_dir, tmp_path, capsys, monkeypatch):
+    # LO 0.4 s at dt 0.02 s: refine factor 2, x 1527 samples
+    monkeypatch.setattr(cli, "MAX_SIM_ELEMENTS", 2 * 1527)
+    manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", keep=1)
+    assert main(["spectrum", "--manifest", manifest, "--periods", "0.4:1:2",
+                 "--out", str(tmp_path / "ok")]) == 0
+    monkeypatch.setattr(cli, "MAX_SIM_ELEMENTS", 2 * 1527 - 1)
+    assert_data_error(["spectrum", "--manifest", manifest, "--periods", "0.4:1:2"],
+                      tmp_path / "o", "refine factor 2 x 1527 samples", capsys)
+
+
+def test_stats_checks_compare_periods_before_any_spectrum(catalog_dir, tmp_path,
+                                                          capsys):
+    # 600 samples fit at refine factor 10997; the compare catalog's 1527 do not
+    blocks = []
+    records = load_catalog(str(catalog_dir / "manifest.txt")).records[:3]
+    for i, rec in enumerate(records):
+        short = AccelerogramRecord(id=f"short{i}", dt=rec.dt,
+                                   accel=rec.accel[:600], unit=rec.unit)
+        (tmp_path / f"short{i}.AT2").write_text(write_at2(short))
+        blocks.append(f"id = short{i}\npath = short{i}.AT2\n")
+    (tmp_path / "m.txt").write_text("\n".join(blocks))
+    out = tmp_path / "o"
+    assert_data_error(["stats", "--manifest", str(tmp_path / "m.txt"),
+                       "--compare", str(catalog_dir / "manifest.txt"),
+                       "--periods", "5.82e-5:1:2"], out, REFINE_OVER_CAP, capsys)
+    assert sorted(p.name for p in out.iterdir()) == ["run_log.json"]
 
 
 @pytest.mark.parametrize("command,flags,edits,named", [
