@@ -168,11 +168,19 @@ class TestBracketed:
         assert br.fc_star == ex.fc_star
         assert_subset_of(br, ex)
 
+    def test_bisects_default_grid(self, base_params, sim_dt):
+        rec = synthetic_record(base_params, sim_dt, 0.5)
+        res = optimize_fc(rec, base_params.with_fc(None),
+                          FcSearchConfig(n_mc=20, seed=3))
+        assert not res.fallback and res.evals <= 10
+        assert np.all(np.diff(res.fc_grid) > 0)
+        assert res.fc_star == pytest.approx(0.5, abs=0.1 + 1e-9)
+
     @pytest.mark.parametrize("fc_true, rec_seed", [(0.5, 777), (0.2, 909),
                                                    (0.5, 909), (1.0, 909)])
     def test_few_evals_default_grid(self, base_params, sim_dt, fc_true,
                                     rec_seed):
-        # a record of this module's default seed and the acceptance suite's
+        # test_bisects_default_grid's record and the acceptance suite's
         # self-recovery records; with these 20 draws they take 5, 4, 5 and 7
         # evaluations
         rec = synthetic_record(base_params, sim_dt, fc_true, seed=rec_seed)
@@ -182,8 +190,6 @@ class TestBracketed:
         assert np.all(np.diff(br.fc_grid) > 0)
         assert br.fc_star == ex.fc_star
         assert_subset_of(br, ex)
-        if rec_seed == 777:
-            assert br.fc_star == pytest.approx(0.5, abs=0.1 + 1e-9)
 
 
 def search_array(s):
