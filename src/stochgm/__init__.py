@@ -12,15 +12,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     # catalog_io
-    "AccelerogramRecord", "Catalog", "load_catalog", "parse_at2", "write_at2",
+    "AccelerogramRecord", "Catalog", "GMParams", "load_catalog", "parse_at2",
+    "write_at2",
     # catalog_stats
     "extract_simple_params", "spectral_correlation", "spectral_quantiles",
     "spectral_std",
     # fc_opt
     "FcResult", "FcSearchConfig", "epsilon", "optimize_fc",
     # gm_model
-    "GMParams", "ModulatorCoeffs", "SimBatch", "apply_highpass", "highpass",
-    "simulate", "simulate_spectral", "simulate_temporal", "solve_modulator",
+    "ModulatorCoeffs", "SimBatch", "apply_highpass", "highpass", "simulate",
+    "simulate_spectral", "simulate_temporal", "solve_modulator",
     # param_dist
     "JointParamModel", "MarginalModel", "fit_copula", "fit_marginal",
     "sample_params",
@@ -34,8 +35,8 @@ __all__ = [
 ]
 
 # the submodules that define __all__, in its order, each with its count
-_SPANS = (("catalog_io", 5), ("catalog_stats", 4), ("fc_opt", 4),
-          ("gm_model", 9), ("param_dist", 5), ("resp_spectrum", 4),
+_SPANS = (("catalog_io", 6), ("catalog_stats", 4), ("fc_opt", 4),
+          ("gm_model", 8), ("param_dist", 5), ("resp_spectrum", 4),
           ("sensitivity", 11))
 _HOME = dict(zip(__all__, [m for m, count in _SPANS for _ in range(count)],
                  strict=True))

@@ -1,7 +1,9 @@
 """Ingestion of PEER AT2 accelerograms and line-oriented catalog manifests.
 
 Records are parsed in g and converted once to m/s^2 when a catalog is
-assembled, so every downstream computation works in SI units.
+assembled, so every downstream computation works in SI units. GMParams,
+the model parameters a manifest entry carries, lives here beside
+PARAM_KEYS, its field order, so building it loads numpy alone.
 
 Manifest format (documented here and in the README): entries are blocks of
 ``key = value`` lines separated by one or more blank lines. Lines starting
@@ -33,6 +35,50 @@ _RE_NPTS_TRAIL = re.compile(r"^\s*(\d+)\s+([0-9.Ee+-]+)\s+NPTS\s*,?\s*DT", re.IG
 # one statement of that order (save_npz's params array, PARAM_LABELS)
 PARAM_KEYS = ("log_ai", "d595", "t_mid", "omega_mid", "omega_rate",
               "zeta_f", "t_total", "fc_hz")
+
+
+@dataclass(frozen=True)
+class GMParams:
+    """Seven model parameters plus total duration.
+
+    log_ai is the natural log of Arias intensity in m/s; omega_mid and
+    omega_rate define the linear filter-frequency law
+    omega(t) = omega_mid + omega_rate * (t - t_mid); zeta_f is the constant
+    filter bandwidth; fc_hz may be None while the corner frequency is still
+    being fitted.
+    """
+
+    log_ai: float
+    d595: float
+    t_mid: float
+    omega_mid: float
+    omega_rate: float
+    zeta_f: float
+    t_total: float
+    fc_hz: float | None = None
+
+    def __post_init__(self):
+        if self.d595 <= 0:
+            raise ValueError("d595 must be > 0")
+        if not 0 < self.t_mid < self.t_total:
+            raise ValueError("need 0 < t_mid < t_total")
+        if not 0 < self.zeta_f < 1:
+            raise ValueError("zeta_f must be in (0, 1)")
+        if self.fc_hz is not None and self.fc_hz < 0:
+            raise ValueError("fc_hz must be >= 0")
+        # linear law: positivity on [0, t_total] is decided at the endpoints
+        if self.omega_at(0.0) <= 0 or self.omega_at(self.t_total) <= 0:
+            raise ValueError("omega(t) must stay > 0 on [0, t_total]")
+
+    def omega_at(self, t):
+        return self.omega_mid + self.omega_rate * (np.asarray(t, dtype=float) - self.t_mid)
+
+    @property
+    def omega_max(self):
+        return max(float(self.omega_at(0.0)), float(self.omega_at(self.t_total)))
+
+    def with_fc(self, fc_hz):
+        return replace(self, fc_hz=fc_hz)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,14 @@ output directory. Exit codes: 0 success, 1 usage error, 2 data error,
 3 numerical failure.
 
 Each subcommand imports the modules it calls, so a process loads only what
-its subcommand needs: convert needs numpy alone, spectrum and stats add
-scipy.linalg.lapack, and simulate, fit-fc, sensitivity and sample-params
-also scipy.special. No subcommand loads scipy.stats, scipy.optimize or
-scipy.signal.
+its subcommand needs: convert needs numpy alone; spectrum, stats and
+sensitivity add LAPACK's ?tbtrs (scipy.linalg._flapack, without the
+scipy.linalg package); simulate, fit-fc and sample-params also
+scipy.special. No subcommand loads scipy.linalg, scipy.stats,
+scipy.optimize or scipy.signal.
 """
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import logging
@@ -33,7 +33,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .catalog_io import G_ACCEL, load_catalog, write_at2
+from .catalog_io import G_ACCEL, GMParams, load_catalog, write_at2
 from .errors import DataError, NumericalError
 
 log = logging.getLogger("stochgm")
@@ -93,7 +93,6 @@ def entry_params(entry, record, fc_default=None):
     parameters from the record when the manifest omits them. The entry's
     params are keyed by catalog_io.PARAM_KEYS, the GMParams field names."""
     from .catalog_stats import extract_simple_params
-    from .gm_model import GMParams
 
     p = dict(entry.params)
     missing = {"log_ai", "d595", "t_mid"} - set(p)
@@ -135,8 +134,6 @@ def _load(manifest, params=False, fc_default=None, draws=None, periods=None):
                                 f"exceeds {MAX_SIM_ELEMENTS} elements")
     if not params:
         return catalog
-    from .gm_model import highpass_pad, n_samples
-
     built = {}
     for entry, rec in zip(catalog.entries, catalog.records):
         try:
@@ -144,6 +141,8 @@ def _load(manifest, params=False, fc_default=None, draws=None, periods=None):
         except ValueError as exc:
             raise DataError(f"entry {entry.id}: {exc}") from exc
         if draws:
+            from .gm_model import highpass_pad, n_samples
+
             flag, n, corners = draws
             try:
                 m = n_samples(p, rec.dt) + max(
@@ -179,6 +178,8 @@ def _per_record(fn, records, jobs=1):
             raise DataError(f"entry {rec.id}: {exc}") from exc
 
     if jobs > 1:
+        import concurrent.futures
+
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(one, records))
     return [one(rec) for rec in records]

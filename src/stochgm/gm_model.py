@@ -29,57 +29,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import gammainc, gammaincinv, gammaln
 
-from .catalog_io import G_ACCEL, PARAM_KEYS
+from .catalog_io import G_ACCEL, PARAM_KEYS, GMParams
 from .errors import DataError, NumericalError
 from .resp_spectrum import recurrence, row_blocks
 
 SIGMA_FLOOR_REL = 1e-6  # below this fraction of max sigma, X2 is set to 0
 # target Chebyshev tail of the engines' interpolation in omega, relative
 NODE_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class GMParams:
-    """Seven model parameters plus total duration.
-
-    log_ai is the natural log of Arias intensity in m/s; omega_mid and
-    omega_rate define the linear filter-frequency law
-    omega(t) = omega_mid + omega_rate * (t - t_mid); zeta_f is the constant
-    filter bandwidth; fc_hz may be None while the corner frequency is still
-    being fitted.
-    """
-
-    log_ai: float
-    d595: float
-    t_mid: float
-    omega_mid: float
-    omega_rate: float
-    zeta_f: float
-    t_total: float
-    fc_hz: float | None = None
-
-    def __post_init__(self):
-        if self.d595 <= 0:
-            raise ValueError("d595 must be > 0")
-        if not 0 < self.t_mid < self.t_total:
-            raise ValueError("need 0 < t_mid < t_total")
-        if not 0 < self.zeta_f < 1:
-            raise ValueError("zeta_f must be in (0, 1)")
-        if self.fc_hz is not None and self.fc_hz < 0:
-            raise ValueError("fc_hz must be >= 0")
-        # linear law: positivity on [0, t_total] is decided at the endpoints
-        if self.omega_at(0.0) <= 0 or self.omega_at(self.t_total) <= 0:
-            raise ValueError("omega(t) must stay > 0 on [0, t_total]")
-
-    def omega_at(self, t):
-        return self.omega_mid + self.omega_rate * (np.asarray(t, dtype=float) - self.t_mid)
-
-    @property
-    def omega_max(self):
-        return max(float(self.omega_at(0.0)), float(self.omega_at(self.t_total)))
-
-    def with_fc(self, fc_hz):
-        return replace(self, fc_hz=fc_hz)
 
 
 @dataclass(frozen=True)

@@ -15,19 +15,42 @@ by which a batch is streamed: the recurrence's numerator, a refined
 period's u, v and sub-step reads, and both X1 engines' per-node work run
 one row block at a time, and since rows are independent the block size
 moves no bit. compute_sa and batch_sa_matrix share one period loop.
+Its banded solve is LAPACK ?tbtrs, from scipy's extension module alone
+(_tbtrs): computing spectra loads numpy, not the scipy.linalg package.
 """
 
 import cmath
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs, ztbtrs
 
 from .catalog_io import G_ACCEL
 from .errors import DataError
+
+
+def _tbtrs():
+    """dtbtrs and ztbtrs of scipy.linalg._flapack, which scipy.linalg.lapack
+    re-exports, loaded without scipy/linalg/__init__.py and so without
+    scipy's array-API layer, which costs more time and memory than numpy.
+    It is registered under its own name: an `import scipy.linalg` before or
+    after shares the one module."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.machinery.PathFinder.find_spec(
+            name, importlib.util.find_spec("scipy.linalg").submodule_search_locations)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module.dtbtrs, module.ztbtrs
+
+
+dtbtrs, ztbtrs = _tbtrs()
 
 
 class PeriodUnderResolved(UserWarning):

@@ -1,10 +1,11 @@
 """What each entry point imports. The package resolves its public names on
-first use and the CLI imports per subcommand, so a process that only
-parses arguments or converts records never loads scipy's signal, stats or
-optimize packages; nor do spectrum, simulate, fit-fc or sample-params,
-which need only scipy.linalg.lapack and scipy.special. Each check runs in
-a fresh interpreter, because this test process has imported everything
-already."""
+first use and the CLI imports per subcommand, so no subcommand loads
+scipy's signal, stats or optimize packages. None loads the scipy.linalg
+package either: resp_spectrum loads LAPACK's ?tbtrs from its extension
+module alone, so spectrum, stats and sensitivity run on numpy and that
+module, without scipy's array-API layer, and only simulate, fit-fc and
+sample-params add scipy.special. Each check runs in a fresh interpreter,
+because this test process has imported everything already."""
 
 import os
 import subprocess
@@ -20,6 +21,8 @@ from stochgm.catalog_io import AccelerogramRecord, write_at2
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.signal", "scipy.stats", "scipy.optimize")
+# scipy's package layer, which a process on numpy and ?tbtrs does not load
+PACKAGE_LAYER = ("scipy.linalg", "scipy.special", "scipy._lib._array_api")
 
 
 def run_fresh(code):
@@ -51,7 +54,7 @@ def test_convert_loads_no_heavy_scipy(tmp_path):
         from stochgm import cli
         assert cli.main(["convert", "--manifest", {str(tmp_path / "m.txt")!r},
                          "--out", {str(out)!r}]) == 0
-        assert not [m for m in {HEAVY!r} if m in sys.modules], sys.modules
+        assert not [m for m in {HEAVY + PACKAGE_LAYER!r} if m in sys.modules], sys.modules
     """)
     assert (out / "r0.AT2").read_text() == write_at2(rec)
 
@@ -68,35 +71,86 @@ def test_computing_subcommands_load_no_heavy_scipy(tmp_path, argv):
     (tmp_path / "r0.AT2").write_text(write_at2(rec))
     (tmp_path / "m.txt").write_text("id = r0\npath = r0.AT2\n" + "".join(
         f"{k} = {v}\n" for k, v in vars(p.with_fc(0.3)).items()))
+    # simulate and fit-fc need scipy.special; spectrum needs numpy and ?tbtrs
+    absent = HEAVY + (PACKAGE_LAYER if argv[0] == "spectrum" else ("scipy.linalg",))
     run_fresh(f"""
         import sys
         from stochgm import cli
         assert cli.main({argv!r} + ["--manifest", {str(tmp_path / "m.txt")!r},
                                     "--out", {str(tmp_path / "out")!r}]) == 0
-        assert not [m for m in {HEAVY!r} if m in sys.modules], sys.modules
+        assert not [m for m in {absent!r} if m in sys.modules], sys.modules
     """)
+
+
+def _catalog(directory):
+    """A manifest of 10 distinct records, each with all seven parameters."""
+    rng = np.random.default_rng(1)
+    t = np.arange(500) * 0.01
+    entries = []
+    for i in range(10):
+        accel = np.sin(2 * np.pi * rng.uniform(0.5, 5) * t) + rng.normal(0, 0.1, t.size)
+        rec = AccelerogramRecord(id=f"r{i}", dt=0.01, accel=accel)
+        (directory / f"r{i}.AT2").write_text(write_at2(rec))
+        entries.append(
+            f"id = r{i}\npath = r{i}.AT2\nlog_ai = {rng.normal(-1, 0.3)}\n"
+            f"d595 = {rng.uniform(1, 3)}\nt_mid = {rng.uniform(1.5, 2.5)}\n"
+            f"omega_mid = {rng.uniform(10, 20)}\nomega_rate = {rng.normal(0, 0.1)}\n"
+            f"zeta_f = {rng.uniform(0.2, 0.5)}\nfc_hz = {rng.uniform(0.1, 0.5)}\n")
+    manifest = directory / "m.txt"
+    manifest.write_text("\n".join(entries))
+    return str(manifest)
 
 
 def test_sample_params_loads_no_heavy_scipy(tmp_path):
     # the marginals and the copula run on scipy.special alone
-    rec = AccelerogramRecord(id="r0", dt=0.01, accel=np.sin(np.arange(500) / 5.0))
-    (tmp_path / "r0.AT2").write_text(write_at2(rec))
-    rng = np.random.default_rng(0)
-    (tmp_path / "m.txt").write_text("\n".join(
-        f"id = r{i}\npath = r0.AT2\nlog_ai = {rng.normal(-1, 0.3)}\n"
-        f"d595 = {rng.uniform(1, 3)}\nt_mid = {rng.uniform(1.5, 2.5)}\n"
-        f"omega_mid = {rng.uniform(10, 20)}\nomega_rate = {rng.normal(0, 0.1)}\n"
-        f"zeta_f = {rng.uniform(0.2, 0.5)}\nfc_hz = {rng.uniform(0.1, 0.5)}\n"
-        for i in range(8)))
+    manifest = _catalog(tmp_path)
     run_fresh(f"""
         import sys
         from stochgm import cli
-        assert cli.main(["sample-params", "--n", "20",
-                         "--manifest", {str(tmp_path / "m.txt")!r},
+        assert cli.main(["sample-params", "--n", "20", "--manifest", {manifest!r},
                          "--out", {str(tmp_path / "out")!r}]) == 0
-        assert not [m for m in {HEAVY!r} if m in sys.modules], sys.modules
+        absent = {HEAVY + ("scipy.linalg",)!r}
+        assert not [m for m in absent if m in sys.modules], sys.modules
     """)
     assert (tmp_path / "out" / "sampled_params.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["stats", "sensitivity"])
+def test_catalog_subcommands_load_no_package_layer(tmp_path, command):
+    # log Sa, its statistics and the regression need numpy and ?tbtrs alone
+    manifest = _catalog(tmp_path)
+    argv = [command, "--periods", "0.1:2:5", "--manifest", manifest,
+            "--out", str(tmp_path / "out")]
+    if command == "stats":
+        argv += ["--compare", manifest]
+    run_fresh(f"""
+        import sys
+        from stochgm import cli
+        assert cli.main({argv!r}) == 0
+        absent = {HEAVY + PACKAGE_LAYER!r}
+        assert not [m for m in absent if m in sys.modules], sys.modules
+    """)
+
+
+def test_gm_params_loads_no_scipy_special():
+    run_fresh(f"""
+        import sys
+        from stochgm import GMParams
+        assert not [m for m in {PACKAGE_LAYER!r} if m in sys.modules], sys.modules
+    """)
+
+
+@pytest.mark.parametrize("first", ["stochgm.resp_spectrum", "scipy.linalg.lapack"])
+def test_tbtrs_is_scipy_lapack_tbtrs(first):
+    # one _flapack module whichever import runs first
+    run_fresh(f"""
+        import importlib
+        importlib.import_module({first!r})
+        from scipy.linalg import lapack
+        from stochgm import resp_spectrum
+        assert resp_spectrum.dtbtrs is lapack.dtbtrs
+        assert resp_spectrum.ztbtrs is lapack.ztbtrs
+    """)
 
 
 def test_public_names_resolve_lazily():

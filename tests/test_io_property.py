@@ -32,7 +32,9 @@ def test_at2_round_trip(rec_id, dt, accel, unit):
                                rtol=1e-7, atol=0.0)
 
 
-ENTRY = st.tuples(NAMES, NAMES.map(lambda s: f"records/{s}.AT2"),
+# parse_manifest refuses "." and "..", which name no file inside --out
+IDS = NAMES.filter(lambda s: s not in (".", ".."))
+ENTRY = st.tuples(IDS, NAMES.map(lambda s: f"records/{s}.AT2"),
                   st.dictionaries(st.sampled_from(PARAM_KEYS),
                                   st.floats(allow_nan=False, allow_infinity=False)))
 
