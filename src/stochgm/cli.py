@@ -8,8 +8,8 @@ output directory. Exit codes: 0 success, 1 usage error, 2 data error,
 
 Each subcommand imports the modules it calls, so a process loads only what
 its subcommand needs: convert needs numpy alone; spectrum, stats and
-sensitivity add LAPACK's ?tbtrs (scipy.linalg._flapack, without the
-scipy.linalg package); simulate, fit-fc and sample-params also
+sensitivity add sosfilt's second-order-section loop (scipy.signal._sosfilt,
+without the scipy.signal package); simulate, fit-fc and sample-params also
 scipy.special. No subcommand loads scipy.linalg, scipy.stats,
 scipy.optimize or scipy.signal.
 """
@@ -424,7 +424,11 @@ def cmd_sensitivity(args):
     chart.add_line(periods, r2, label="full")
     with open(os.path.join(args.out, "r2.svg"), "w") as fh:
         fh.write(chart.render())
+    # the paper's fc share: the long-period variance that fc's spread explains
+    share = 1 - var_rows["const_fc"][periods >= 1] / var_rows["full"][periods >= 1]
     return {"r2_range": [float(r2.min()), float(r2.max())],
+            "fc_share": float(share.mean()) if share.size else None,
+            "fc_share_periods": share.size,
             "health": dict(_spectra_health(catalog.records, spectra),
                            negative_variance_periods=negative)}
 
@@ -549,8 +553,13 @@ def main(argv=None):
         run_log.update(status=status, error=str(exc))
     run_log["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     run_log["elapsed_s"] = time.monotonic() - t0
-    if resource:
-        run_log["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    try:  # VmHWM restarts at exec; on Linux ru_maxrss starts at the launcher's peak
+        with open("/proc/self/status") as fh:
+            hwm = next(line for line in fh if line.startswith("VmHWM:"))
+        run_log["peak_rss_mb"] = int(hwm.split()[1]) / 1024
+    except (OSError, StopIteration):
+        if resource:
+            run_log["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     with open(os.path.join(args.out, "run_log.json"), "w") as fh:
         json.dump(run_log, fh, indent=2, default=str)
     return code

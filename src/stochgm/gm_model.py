@@ -13,8 +13,8 @@ Both engines interpolate the oscillator in omega at p Chebyshev nodes
 (_omega_nodes) and run one exact recursion (temporal) or one inverse FFT
 (spectral) per node: O(p * n * m) work and O(n * m + p * K) memory, each
 node's temporaries one row block (resp_spectrum.row_blocks) at a time. No
-matrix product is left, and each recursion is a single-threaded banded
-solve, so the bits do not depend on the BLAS thread count.
+matrix product is left, and each recursion runs in sosfilt's loop, which
+calls no BLAS, so the bits do not depend on the BLAS thread count.
 
 The high-pass stage (critically damped oscillator, corner frequency fc) is
 kept separate so an fc search can reuse one X3 batch. It is one two-pole

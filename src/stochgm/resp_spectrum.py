@@ -10,13 +10,13 @@ t_k + q dt/refine, each the exact fractional-step transition from
 
 `recurrence` is the one linear-recurrence kernel of the package: these
 difference equations, the high-pass filter and the temporal engine's
-per-node poles (gm_model) all run through it. `row_blocks` is the one rule
-by which a batch is streamed: the recurrence's numerator, a refined
-period's u, v and sub-step reads, and both X1 engines' per-node work run
-one row block at a time, and since rows are independent the block size
-moves no bit. compute_sa and batch_sa_matrix share one period loop.
-Its banded solve is LAPACK ?tbtrs, from scipy's extension module alone
-(_tbtrs): computing spectra loads numpy, not the scipy.linalg package.
+per-node poles (gm_model) all run through it, in scipy.signal.sosfilt's
+loop loaded alone (_load_sosfilt), so computing spectra loads numpy, not
+the scipy.signal package. `row_blocks` is the one rule by which a batch is
+streamed: a refined period's u, v and sub-step reads and both X1 engines'
+per-node work run one row block at a time, and since rows are independent
+the block size moves no bit. compute_sa and batch_sa_matrix share one
+period loop.
 """
 
 import cmath
@@ -34,23 +34,22 @@ from .catalog_io import G_ACCEL
 from .errors import DataError
 
 
-def _tbtrs():
-    """dtbtrs and ztbtrs of scipy.linalg._flapack, which scipy.linalg.lapack
-    re-exports, loaded without scipy/linalg/__init__.py and so without
-    scipy's array-API layer, which costs more time and memory than numpy.
-    It is registered under its own name: an `import scipy.linalg` before or
-    after shares the one module."""
-    name = "scipy.linalg._flapack"
+def _load_sosfilt():
+    """scipy.signal.sosfilt's second-order-section loop, from its extension
+    module alone: scipy/signal/__init__.py and scipy's array-API layer cost
+    more time and memory than numpy. It is registered under its own name,
+    so an `import scipy.signal` before or after shares the one module."""
+    name = "scipy.signal._sosfilt"
     module = sys.modules.get(name)
     if module is None:
         spec = importlib.machinery.PathFinder.find_spec(
-            name, importlib.util.find_spec("scipy.linalg").submodule_search_locations)
+            name, importlib.util.find_spec("scipy.signal").submodule_search_locations)
         module = sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    return module.dtbtrs, module.ztbtrs
+    return module._sosfilt
 
 
-dtbtrs, ztbtrs = _tbtrs()
+_sosfilt = _load_sosfilt()
 
 
 class PeriodUnderResolved(UserWarning):
@@ -123,37 +122,27 @@ def row_blocks(n, width):
 
 def recurrence(b, a, x, zi=None, size=None):
     """lfilter(b, a, x, zi=zi)[0] along the last axis of x (m,) or (n, m),
-    real or complex, with a[0] = 1 and x taken as 0 past its end, so a
-    size > m extends the output. The numerator sum_j b_j x_k-j is numpy work
-    in row chunks whose temporaries stay in cache; zi adds to its first
-    samples. The denominator is one banded unit-lower-triangular solve
-    (LAPACK ?tbtrs) in place: the C-order (n, size) output is the Fortran
-    (size, n) array whose columns LAPACK solves, so nothing is transposed."""
+    real or complex, with a[0] = 1, at most two poles and two zeros, and x
+    taken as 0 past its end, so a size > m extends the output: one section
+    of sosfilt's loop, run in place. That loop checks no bounds, so the
+    section, the output and the (n, 1, 2) state are built here as it reads
+    them."""
+    if len(b) > 3 or len(a) > 3:
+        raise ValueError(f"{len(a) - 1} poles, {len(b) - 1} zeros: at most 2 each")
     x = np.asarray(x)
     m = x.shape[-1]
     size = m if size is None else size
-    y = np.empty(x.shape[:-1] + (size,), np.result_type(x, *b, *a))
-    n = math.prod(x.shape[:-1])
-    x2, y2 = x.reshape(n, m), y.reshape(n, size)
-    for rows in row_blocks(n, size):
-        xr, yr = x2[rows], y2[rows]
-        k = min(m, size)
-        np.multiply(xr[:, :k], b[0], out=yr[:, :k])
-        yr[:, k:] = 0
-        for j in range(1, len(b)):
-            k = min(m, size - j)
-            if k > 0:
-                yr[:, j:j + k] += b[j] * xr[:, :k]
+    dtype = np.result_type(x, *b, *a)
+    sos = np.zeros((1, 6), dtype)
+    sos[0, :len(b)] = b
+    sos[0, 3:3 + len(a)] = a
+    y = np.zeros(x.shape[:-1] + (size,), dtype)
+    y[..., :m] = x[..., :size]
+    state = np.zeros(x.shape[:-1] + (2,), dtype)
     if zi is not None:
-        k = min(size, zi.shape[-1])
-        y[..., :k] += zi[..., :k]
-    ab = np.empty((len(a), size), y.dtype, order="F")  # C order is copied per call
-    for i, ai in enumerate(a):  # a row at a time: a broadcast walks F order by 3s
-        ab[i] = ai
-    solve = ztbtrs if np.iscomplexobj(y) else dtbtrs
-    _, info = solve(ab, y2.T, uplo="L", diag="U", overwrite_b=1)
-    if info:
-        raise ValueError(f"?tbtrs argument {-info} is invalid")
+        state[..., :np.shape(zi)[-1]] = zi
+    n = math.prod(x.shape[:-1])
+    _sosfilt(sos, y.reshape(n, size), state.reshape(n, 1, 2))
     return y
 
 
@@ -200,8 +189,8 @@ def peak_displacement(accel, dt, period, damping):
     refine = refine_factor(dt, period) if m > 1 else 1
     a, bu, bv, zu, zv, coef = _plan(float(dt), float(period), float(damping), refine)
     peak = np.empty(n)
-    # a plain period reads u alone, in one recurrence over the whole batch:
-    # blocks of a few long rows would rebuild the band matrix per block
+    # a plain period reads u alone over the whole batch: in row blocks, 30
+    # plain periods of a (100, 1301) batch took 37-44 ms against 27-31 ms
     for rows in row_blocks(n, refine * m) if refine > 1 else [slice(None)]:
         fr = f[rows]
         u = recurrence(bu, a, fr, zi=fr[:, :1] * zu)

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -579,6 +583,22 @@ def test_sensitivity_outputs(catalog_dir, tmp_path):
     assert (out / "variance_scenarios.csv").exists()
 
 
+@pytest.mark.parametrize("periods,count", [("0.1:5:10", 4), ("0.1:0.9:4", 0)])
+def test_sensitivity_fc_share(catalog_dir, tmp_path, periods, count):
+    # mean over T >= 1 s of 1 - var_const_fc / var_full, as the CSV holds them
+    out = tmp_path / "sens"
+    assert main(["sensitivity", "--manifest", str(catalog_dir / "manifest.txt"),
+                 "--out", str(out), "--periods", periods]) == 0
+    result = json.loads((out / "run_log.json").read_text())["result"]
+    _, rows = read_csv(out / "variance_scenarios.csv")
+    shares = [1 - float(r[2]) / float(r[1]) for r in rows if float(r[0]) >= 1]
+    assert result["fc_share_periods"] == len(shares) == count
+    if count:
+        assert result["fc_share"] == pytest.approx(np.mean(shares), abs=1e-7)
+    else:
+        assert result["fc_share"] is None
+
+
 def test_sample_params(catalog_dir, tmp_path):
     out = tmp_path / "sp"
     assert main(["sample-params", "--manifest", str(catalog_dir / "manifest.txt"),
@@ -623,6 +643,28 @@ def test_run_log_peak_rss(catalog_dir, tmp_path, argv):
     # this process's own peak: it holds at least the interpreter and numpy
     assert isinstance(run_log["peak_rss_mb"], float) and run_log["peak_rss_mb"] > 10
     assert "peak_rss_mb" not in run_log["result"]
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="no VmHWM")
+def test_run_log_peak_rss_is_the_runs_own(tmp_path):
+    # a launcher holding 200 MiB starts a small convert: on Linux the
+    # child's ru_maxrss starts at the launcher's peak, its VmHWM does not
+    rec = AccelerogramRecord(id="r0", dt=0.01, accel=np.sin(np.arange(50) / 5.0))
+    (tmp_path / "r0.AT2").write_text(write_at2(rec))
+    (tmp_path / "m.txt").write_text("id = r0\npath = r0.AT2\n")
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    launcher = textwrap.dedent(f"""
+        import os, subprocess, sys
+        import numpy as np
+        held = np.ones(200 * 2 ** 20 // 8)
+        env = dict(os.environ, PYTHONPATH={src!r})
+        subprocess.run([sys.executable, "-m", "stochgm.cli", "convert",
+                        "--manifest", {str(tmp_path / "m.txt")!r},
+                        "--out", {str(out)!r}], env=env, check=True)
+    """)
+    subprocess.run([sys.executable, "-c", launcher], check=True)
+    assert json.loads((out / "run_log.json").read_text())["peak_rss_mb"] < 100
 
 
 @pytest.mark.parametrize("command", ["spectrum", "stats", "sensitivity"])

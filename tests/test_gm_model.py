@@ -130,9 +130,9 @@ class TestEngines:
             np.testing.assert_array_equal(b1.realizations, b2.realizations[:4])
 
     def test_bits_do_not_depend_on_blas_threads(self):
-        # the engines make no matrix product, and their recursions are
-        # single-threaded banded solves, so a seed gives the same bits under
-        # any OpenBLAS thread count
+        # the engines make no matrix product, and their recursions run in
+        # sosfilt's loop, which calls no BLAS, so a seed gives the same bits
+        # under any OpenBLAS thread count
         probe = textwrap.dedent("""
             import hashlib
             import numpy as np

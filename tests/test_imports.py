@@ -1,11 +1,12 @@
 """What each entry point imports. The package resolves its public names on
 first use and the CLI imports per subcommand, so no subcommand loads
 scipy's signal, stats or optimize packages. None loads the scipy.linalg
-package either: resp_spectrum loads LAPACK's ?tbtrs from its extension
-module alone, so spectrum, stats and sensitivity run on numpy and that
-module, without scipy's array-API layer, and only simulate, fit-fc and
-sample-params add scipy.special. Each check runs in a fresh interpreter,
-because this test process has imported everything already."""
+package either: resp_spectrum loads sosfilt's second-order-section loop
+from its extension module alone, so spectrum, stats and sensitivity run on
+numpy and that module, without scipy's array-API layer or LAPACK, and only
+simulate, fit-fc and sample-params add scipy.special. Each check runs in a
+fresh interpreter, because this test process has imported everything
+already."""
 
 import os
 import subprocess
@@ -21,8 +22,10 @@ from stochgm.catalog_io import AccelerogramRecord, write_at2
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.signal", "scipy.stats", "scipy.optimize")
-# scipy's package layer, which a process on numpy and ?tbtrs does not load
-PACKAGE_LAYER = ("scipy.linalg", "scipy.special", "scipy._lib._array_api")
+# scipy's package layer and LAPACK, which a process on numpy and sosfilt's
+# loop does not load
+PACKAGE_LAYER = ("scipy.linalg", "scipy.linalg._flapack", "scipy.special",
+                 "scipy._lib._array_api")
 
 
 def run_fresh(code):
@@ -71,7 +74,7 @@ def test_computing_subcommands_load_no_heavy_scipy(tmp_path, argv):
     (tmp_path / "r0.AT2").write_text(write_at2(rec))
     (tmp_path / "m.txt").write_text("id = r0\npath = r0.AT2\n" + "".join(
         f"{k} = {v}\n" for k, v in vars(p.with_fc(0.3)).items()))
-    # simulate and fit-fc need scipy.special; spectrum needs numpy and ?tbtrs
+    # simulate and fit-fc need scipy.special; spectrum needs numpy and _sosfilt
     absent = HEAVY + (PACKAGE_LAYER if argv[0] == "spectrum" else ("scipy.linalg",))
     run_fresh(f"""
         import sys
@@ -117,7 +120,7 @@ def test_sample_params_loads_no_heavy_scipy(tmp_path):
 
 @pytest.mark.parametrize("command", ["stats", "sensitivity"])
 def test_catalog_subcommands_load_no_package_layer(tmp_path, command):
-    # log Sa, its statistics and the regression need numpy and ?tbtrs alone
+    # log Sa, its statistics and the regression need numpy and _sosfilt alone
     manifest = _catalog(tmp_path)
     argv = [command, "--periods", "0.1:2:5", "--manifest", manifest,
             "--out", str(tmp_path / "out")]
@@ -129,6 +132,7 @@ def test_catalog_subcommands_load_no_package_layer(tmp_path, command):
         assert cli.main({argv!r}) == 0
         absent = {HEAVY + PACKAGE_LAYER!r}
         assert not [m for m in absent if m in sys.modules], sys.modules
+        assert "scipy.signal._sosfilt" in sys.modules
     """)
 
 
@@ -140,16 +144,18 @@ def test_gm_params_loads_no_scipy_special():
     """)
 
 
-@pytest.mark.parametrize("first", ["stochgm.resp_spectrum", "scipy.linalg.lapack"])
-def test_tbtrs_is_scipy_lapack_tbtrs(first):
-    # one _flapack module whichever import runs first
+@pytest.mark.parametrize("first", ["stochgm.resp_spectrum", "scipy.signal"])
+def test_sosfilt_is_scipy_signal_sosfilt(first):
+    # one _sosfilt module whichever import runs first, and the loop that
+    # scipy.signal.sosfilt calls
     run_fresh(f"""
         import importlib
         importlib.import_module({first!r})
-        from scipy.linalg import lapack
+        import scipy.signal
+        from scipy.signal import _signaltools, _sosfilt
         from stochgm import resp_spectrum
-        assert resp_spectrum.dtbtrs is lapack.dtbtrs
-        assert resp_spectrum.ztbtrs is lapack.ztbtrs
+        assert resp_spectrum._sosfilt is _sosfilt._sosfilt
+        assert resp_spectrum._sosfilt is _signaltools._sosfilt
     """)
 
 

@@ -15,8 +15,10 @@ from stochgm.resp_spectrum import (PeriodUnderResolved, batch_sa_matrix, log_sa,
 
 
 class TestRecurrence:
-    """recurrence against the scipy.signal filters it replaced, within
-    RTOL of the reference's max |y| (they differ only in rounding order)."""
+    """recurrence against scipy.signal: lfilter within RTOL of the
+    reference's max |y| (they differ only in rounding order), and sosfilt on
+    the section of b and a padded to three taps bit for bit (it runs the
+    same loop)."""
 
     RTOL = 1e-13
     # SDOF-like two-pole (poles 0.97*exp(+-0.1i)) and the engine's one complex pole
@@ -56,6 +58,39 @@ class TestRecurrence:
         b, a = self.REAL
         padded = np.concatenate([x, np.zeros((x.shape[0], extra))], axis=-1)
         self.check(recurrence(b, a, x, size=x.shape[1] + extra), lfilter(b, a, padded))
+
+    @pytest.mark.parametrize("b, a, imag, zi_width, extra", [
+        (REAL[0], REAL[1], 0.0, 0, 0),
+        (REAL[0], REAL[1], 0.0, 2, 0),
+        (REAL[0], REAL[1], 0.0, 2, 7),
+        ([0.7], [1.0, -LAM], 0.0, 0, 3),
+        ([0.7], [1.0, -LAM], 0.0, 1, 0),
+        ([0.7, 0.1j], [1.0, -LAM, 0.2 * LAM ** 2], 0.5, 2, 0),
+    ], ids=["real", "real-zi", "real-zi-size", "pole-size", "pole-zi1", "complex-zi"])
+    def test_bitwise_sosfilt(self, x, b, a, imag, zi_width, extra):
+        # the section sosfilt runs on b and a padded to three taps each,
+        # with x extended by zeros and zi by a zero state
+        x = x + imag * 1j * x if imag else x
+        sos = [list(b) + [0.0] * (3 - len(b)) + list(a) + [0.0] * (3 - len(a))]
+        zi = np.random.default_rng(3).standard_normal((x.shape[0], zi_width)) * (1 - 1j)
+        zi = zi if np.result_type(x, *b, *a).kind == "c" else zi.real
+        state = np.pad(zi, ((0, 0), (0, 2 - zi_width)))
+        padded = np.pad(x, ((0, 0), (0, extra)))
+        size = x.shape[1] + extra
+        ref = sosfilt(sos, padded, zi=state[None])[0]
+        got = recurrence(b, a, x, zi=zi if zi_width else None, size=size)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        got = recurrence(b, a, x[0], zi=zi[0] if zi_width else None, size=size)
+        assert np.array_equal(got, sosfilt(sos, padded[0], zi=state[:1])[0])
+
+    def test_three_poles_raise_before_the_loop(self, monkeypatch):
+        def loop(*args):
+            raise AssertionError("the C loop ran")
+        monkeypatch.setattr(resp_spectrum, "_sosfilt", loop)
+        with pytest.raises(ValueError, match="3 poles"):
+            recurrence([1.0], [1.0, 0.1, 0.1, 0.1], np.ones((2, 5)))
+        with pytest.raises(ValueError, match="3 zeros"):
+            recurrence([1.0, 0.1, 0.1, 0.1], [1.0], np.ones(5))
 
 
 class TestPeriodGrid:
