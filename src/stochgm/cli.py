@@ -79,6 +79,11 @@ def _check_args(args):
                             f"got {lo:g}:{hi:g}:{count:g}")
         from .resp_spectrum import standard_period_grid
         args.periods = standard_period_grid(n=int(count), lo=lo, hi=hi)
+    if hasattr(args, "n") and not hasattr(args, "engine"):  # sample-params
+        from .sensitivity import PARAM_LABELS as labels
+        if args.n * len(labels) > MAX_SIM_ELEMENTS:
+            raise DataError(f"--n {args.n} samples x {len(labels)} parameters "
+                            f"exceeds {MAX_SIM_ELEMENTS} elements")
     if hasattr(args, "fc_grid"):
         from . import fc_opt
         try:
@@ -101,28 +106,32 @@ def entry_params(entry, record, fc_default=None):
                   if k in missing})
     for key in ("omega_mid", "omega_rate", "zeta_f"):
         if key not in p:
-            raise DataError(f"entry {entry.id}: manifest must supply {key}")
+            raise DataError(f"manifest must supply {key}")
     p.setdefault("t_total", record.duration)
     p.setdefault("fc_hz", fc_default)
     return GMParams(**p)
 
 
-def _load(manifest, params=False, fc_default=None, draws=None, periods=None):
-    """The non-empty catalog at `manifest` and, with params, each record's
-    GMParams by id (entries and records pair by position: load_catalog
-    builds both in manifest order). With draws = (flag, n, corners), every
-    corner must suit the record's dt (highpass_pad), and n realizations of
-    its simulation, padded for the largest of their high-pass pads, must
-    fit in MAX_SIM_ELEMENTS; corners None means the entry's fc_hz. With
-    periods, each record's refine factor at the shortest period times its
-    samples must fit in MAX_SIM_ELEMENTS."""
+def _load(args, manifest=None, fc=False):
+    """The non-empty catalog at `manifest` (default --manifest), every entry
+    checked against the subcommand's flags before any record is processed:
+    --periods caps its refine factor at the shortest period times its
+    samples; --engine builds its GMParams (fc_hz 0 when unset), which the
+    model must accept at the record's dt, and caps --n or --mc realizations
+    of its samples, padded for its fc_hz or the --fc-grid ends; fc requires
+    its fc_hz and refuses a parameter that is the same on every entry. The
+    caps are MAX_SIM_ELEMENTS. Returns the catalog, with --engine and the
+    GMParams by id, with fc and the (n_records, 7) parameter matrix in
+    sensitivity.PARAM_LABELS order (entries and records pair by position:
+    load_catalog builds both in manifest order)."""
+    manifest = manifest or args.manifest
     catalog = load_catalog(manifest)
     if len(catalog) == 0:
         raise DataError(f"catalog from {manifest} is empty")
-    if periods is not None:
+    if hasattr(args, "periods"):
         from .resp_spectrum import MIN_SAMPLES_PER_CYCLE
 
-        lo = float(periods.min())
+        lo = float(args.periods.min())
         for rec in catalog:
             # refine_factor(dt, lo) is ceil(reads), kept a float: a subnormal
             # LO gives inf, not an OverflowError. A plain period (reads <= 1)
@@ -132,50 +141,53 @@ def _load(manifest, params=False, fc_default=None, draws=None, periods=None):
                 raise DataError(f"entry {rec.id}: --periods LO {lo:g} s: refine "
                                 f"factor {np.ceil(reads):g} x {rec.npts} samples "
                                 f"exceeds {MAX_SIM_ELEMENTS} elements")
-    if not params:
+    engine = hasattr(args, "engine")
+    if not (engine or fc):
         return catalog
-    built = {}
+    if engine:
+        from .gm_model import _check_dt, highpass_pad, n_samples, solve_modulator
+
+        flag, n = ("--mc", args.mc) if hasattr(args, "mc") else ("--n", args.n)
+        corners = None  # the entry's fc_hz; the --fc-grid ends cover the grid
+        if hasattr(args, "fc_search"):
+            grid = args.fc_search.grid
+            corners = grid[grid > 0][[0, -1]].tolist() if grid[-1] > 0 else [0.0]
+    params = {}
     for entry, rec in zip(catalog.entries, catalog.records):
         try:
-            p = built[entry.id] = entry_params(entry, rec, fc_default)
-        except ValueError as exc:
-            raise DataError(f"entry {entry.id}: {exc}") from exc
-        if draws:
-            from .gm_model import highpass_pad, n_samples
-
-            flag, n, corners = draws
-            try:
+            p = params[entry.id] = entry_params(entry, rec, 0.0 if engine else None)
+            if fc and p.fc_hz is None:
+                raise DataError(f"{args.command} needs fc_hz in manifest")
+            if engine:
+                _check_dt(p, rec.dt)
                 m = n_samples(p, rec.dt) + max(
-                    highpass_pad(fc, rec.dt) for fc in corners or (p.fc_hz,))
-            except DataError as exc:
-                raise DataError(f"entry {entry.id}: {exc}") from exc
-            if n * m > MAX_SIM_ELEMENTS:
-                raise DataError(f"entry {entry.id}: {flag} {n} realizations x {m} "
-                                f"samples exceeds {MAX_SIM_ELEMENTS} elements")
-    return catalog, built
+                    highpass_pad(f, rec.dt) for f in corners or (p.fc_hz,))
+                if n * m > MAX_SIM_ELEMENTS:
+                    raise DataError(f"{flag} {n} realizations x {m} samples "
+                                    f"exceeds {MAX_SIM_ELEMENTS} elements")
+                solve_modulator(p.log_ai, p.d595, p.t_mid, p.t_total)
+        except (ValueError, DataError, NumericalError) as exc:
+            raise DataError(f"entry {entry.id}: {exc}") from exc
+    if engine:
+        return catalog, params
+    from .sensitivity import PARAM_LABELS
 
-
-def _theta(manifest, command, periods=None):
-    """The catalog and its (n_records, 7) parameter matrix, columns ordered
-    as sensitivity.PARAM_LABELS; every entry must supply fc_hz."""
-    from . import sensitivity
-
-    catalog, params = _load(manifest, params=True, periods=periods)
-    for rec_id, p in params.items():
-        if p.fc_hz is None:
-            raise DataError(f"entry {rec_id}: {command} needs fc_hz in manifest")
-    return catalog, np.array([[getattr(p, k) for k in sensitivity.PARAM_LABELS]
-                              for p in params.values()])
+    theta = np.array([[getattr(p, k) for k in PARAM_LABELS] for p in params.values()])
+    for label, column in zip(PARAM_LABELS, theta.T):
+        if len(column) > 1 and np.ptp(column) == 0:
+            raise DataError(f"--manifest {manifest}: {label} is {column[0]:g} on "
+                            "every entry")
+    return catalog, theta
 
 
 def _per_record(fn, records, jobs=1):
     """[fn(rec) for rec in records], on `jobs` threads when jobs > 1. A
-    DataError from one record is re-raised naming its entry."""
+    DataError or NumericalError from one record is re-raised naming it."""
     def one(rec):
         try:
             return fn(rec)
-        except DataError as exc:
-            raise DataError(f"entry {rec.id}: {exc}") from exc
+        except (DataError, NumericalError) as exc:
+            raise type(exc)(f"entry {rec.id}: {exc}") from exc
 
     if jobs > 1:
         import concurrent.futures
@@ -210,7 +222,7 @@ def _spectra_health(records, spectra):
                               for rec, s in zip(records, spectra))}
 
 
-def _catalog_log_sa(catalog, periods, jobs):
+def _catalog_log_sa(catalog, periods, jobs=1):
     """(n_records, n_periods) log Sa of the catalog's records, and the
     records' spectra."""
     from .resp_spectrum import compute_sa, log_sa
@@ -228,7 +240,7 @@ def _catalog_log_sa(catalog, periods, jobs):
 # ---------------------------------------------------------------------------
 
 def cmd_convert(args):
-    catalog = _load(args.manifest)
+    catalog = _load(args)
     for rec in catalog:
         out = os.path.join(args.out, f"{rec.id}.AT2")
         with open(out, "w") as fh:
@@ -244,12 +256,13 @@ def cmd_convert(args):
 def cmd_simulate(args):
     from .gm_model import apply_highpass, simulate
 
-    catalog, params = _load(args.manifest, params=True, fc_default=0.0,
-                            draws=("--n", args.n, None))
+    catalog, params = _load(args)
+    # record k draws its noise from the entropy (seed, k), so no two share it
+    index = {rec_id: k for k, rec_id in enumerate(params)}
 
     def one(rec):
         p = params[rec.id]
-        batch = simulate(p, rec.dt, args.n, args.seed, args.engine)
+        batch = simulate(p, rec.dt, args.n, (args.seed, index[rec.id]), args.engine)
         if p.fc_hz:
             batch = apply_highpass(batch, p.fc_hz)
         batch.save_npz(os.path.join(args.out, f"{rec.id}_batch.npz"))
@@ -271,7 +284,7 @@ def cmd_simulate(args):
 def cmd_spectrum(args):
     from .resp_spectrum import compute_sa
 
-    catalog = _load(args.manifest, periods=args.periods)
+    catalog = _load(args)
     spectra = []
     for rec in catalog:
         spec = compute_sa(rec.accel, rec.dt, args.periods)
@@ -290,10 +303,7 @@ def cmd_spectrum(args):
 def cmd_fit_fc(args):
     from . import fc_opt
 
-    grid = args.fc_search.grid
-    ends = (float(grid[grid > 0][0]), float(grid[-1])) if grid[-1] > 0 else (0.0,)
-    catalog, params = _load(args.manifest, params=True,
-                            draws=("--mc", args.mc, ends))
+    catalog, params = _load(args)
 
     def one(rec):
         return fc_opt.optimize_fc(rec, params[rec.id].with_fc(None),
@@ -335,7 +345,7 @@ def cmd_stats(args):
 
     periods = args.periods
     # both catalogs pass the input checks before any spectrum is computed
-    catalogs = {tag: _load(manifest, periods=periods) for tag, manifest in
+    catalogs = {tag: _load(args, manifest) for tag, manifest in
                 (("recorded", args.manifest), ("synthetic", args.compare)) if manifest}
     stats, records, spectra = {}, [], []
     for tag, catalog in catalogs.items():
@@ -375,13 +385,13 @@ def cmd_stats(args):
 def cmd_sensitivity(args):
     from . import sensitivity, svgplot
 
-    catalog, theta = _theta(args.manifest, "sensitivity", args.periods)
+    catalog, theta = _load(args, fc=True)
     try:
         dm = sensitivity.DesignMatrix(theta)
     except ValueError as exc:
         raise DataError(f"--manifest {args.manifest}: {exc}") from exc
     periods = args.periods
-    log_sa, spectra = _catalog_log_sa(catalog, periods, args.jobs)
+    log_sa, spectra = _catalog_log_sa(catalog, periods)
     bundle = sensitivity.fit_bundle(dm, log_sa, periods)
 
     r2 = sensitivity.r2_curve(bundle)
@@ -436,11 +446,7 @@ def cmd_sensitivity(args):
 def cmd_sample_params(args):
     from . import param_dist, sensitivity
 
-    k = len(sensitivity.PARAM_LABELS)
-    if args.n * k > MAX_SIM_ELEMENTS:
-        raise DataError(f"--n {args.n} samples x {k} parameters exceeds "
-                        f"{MAX_SIM_ELEMENTS} elements")
-    _, theta = _theta(args.manifest, "sample-params")
+    _, theta = _load(args, fc=True)
 
     marginals = tuple(
         param_dist.fit_marginal(theta[:, j], fam)
@@ -472,7 +478,7 @@ SUBCOMMANDS = {
     "stats": (cmd_stats, "catalog spectral statistics",
               ("jobs", "periods", "compare")),
     "sensitivity": (cmd_sensitivity, "regression sensitivity analysis",
-                    ("jobs", "periods")),
+                    ("periods",)),
     "sample-params": (cmd_sample_params, "fit joint model and sample",
                       ("seed", "n")),
 }

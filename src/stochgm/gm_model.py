@@ -68,7 +68,7 @@ class SimBatch:
 
     realizations: np.ndarray  # (n, m)
     dt: float
-    seed: int
+    seed: int | tuple  # the entropy of the noise's numpy SeedSequence
     params: GMParams
     domain_tag: str  # "temporal" | "spectral"
     sigma_floor_hits: int = 0
@@ -400,23 +400,23 @@ def simulate(params, dt, n, seed, engine="spectral"):
 # 1e-8*exp(-1) at u = wc*t = TAIL_U, i.e. -W_{-1}(-1e-8/e); about 72k
 # samples for the default grid's 0.01 Hz point at dt = 0.005 s
 TAIL_U = 22.5357852450643
-MAX_KERNEL_SAMPLES = 2 ** 20
+MAX_PAD_SAMPLES = 2 ** 20
 
 
 def highpass_pad(fc_hz, dt):
     """Zero samples highpass appends at corner fc_hz (Hz) and step dt (s):
     floor(TAIL_U / (wc*dt)) + 2, or 0 for fc_hz = 0. A corner at or above
     the Nyquist frequency 1/(2*dt), or so low that the pad would exceed
-    MAX_KERNEL_SAMPLES, is a DataError."""
+    MAX_PAD_SAMPLES, is a DataError."""
     if fc_hz == 0:
         return 0
     if fc_hz >= 0.5 / dt:
         raise DataError(f"fc = {fc_hz:g} Hz is at or above the Nyquist frequency "
                         f"{0.5 / dt:g} Hz at dt = {dt:g} s")
     wc_dt = 2 * math.pi * fc_hz * dt
-    if wc_dt * (MAX_KERNEL_SAMPLES - 1) <= TAIL_U:
+    if wc_dt * (MAX_PAD_SAMPLES - 1) <= TAIL_U:
         raise DataError(f"fc = {fc_hz:g} Hz at dt = {dt:g} s needs a high-pass "
-                        f"kernel of more than {MAX_KERNEL_SAMPLES} samples")
+                        f"pad of more than {MAX_PAD_SAMPLES} samples")
     return math.floor(TAIL_U / wc_dt) + 2
 
 

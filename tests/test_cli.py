@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stochgm import GMParams, simulate_spectral, write_at2
+from stochgm import GMParams, simulate, simulate_spectral, write_at2
 from stochgm.catalog_io import G_ACCEL, AccelerogramRecord, load_catalog, parse_manifest
 from stochgm import cli, fc_opt
 from stochgm.cli import main
+from stochgm.errors import NumericalError
 from stochgm.gm_model import apply_highpass, highpass_pad
 from stochgm.resp_spectrum import PeriodUnderResolved
 
@@ -105,11 +106,12 @@ def test_usage_error():
     ("spectrum", "--jobs=2"),
     ("sensitivity", "--seed=1"),
     ("sample-params", "--jobs=2"),
+    ("sensitivity", "--jobs=2"),
 ])
 def test_flag_on_subcommand_that_ignores_it_is_usage_error(tmp_path, capsys,
                                                            command, flag):
     # --seed is read only by simulate, fit-fc and sample-params; --jobs only
-    # by fit-fc, stats and sensitivity
+    # by fit-fc and stats
     assert main([command, "--manifest", "m.txt", "--out", str(tmp_path),
                  flag]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
@@ -152,6 +154,35 @@ def test_simulate_deterministic(catalog_dir, tmp_path):
     np.testing.assert_array_equal(outs[0], outs[1])
     _, rows = read_csv(tmp_path / "a" / "rec00_summary.csv")
     assert len(rows) == 5
+
+
+def test_simulate_records_get_their_own_noise(catalog_dir, tmp_path):
+    # two entries of one record and one parameter set: same dt, same length
+    block = (catalog_dir / "manifest.txt").read_text().split("\n\n")[0]
+    block = block.replace("path = rec00.AT2", f"path = {catalog_dir / 'rec00.AT2'}")
+    (tmp_path / "m.txt").write_text(block.replace("id = rec00", "id = a") + "\n\n"
+                                    + block.replace("id = rec00", "id = b") + "\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--manifest", str(tmp_path / "m.txt"), "--out", str(out),
+                 "--n", "3", "--seed", "7"]) == 0
+    with np.load(out / "a_batch.npz") as a, np.load(out / "b_batch.npz") as b:
+        x, y = a["realizations"], b["realizations"]
+        assert x.shape == y.shape and np.abs(x - y).max() > 0.5 * np.abs(x).max()
+        assert a["seed"].tolist() == [7, 0] and b["seed"].tolist() == [7, 1]
+
+
+@pytest.mark.parametrize("engine", ["temporal", "spectral"])
+def test_simulate_record_k_is_a_run_under_seed_k(catalog_dir, tmp_path, engine):
+    manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", keep=3)
+    out = tmp_path / "o"
+    assert main(["simulate", "--manifest", manifest, "--out", str(out), "--n", "2",
+                 "--seed", "7", "--engine", engine]) == 0
+    catalog = load_catalog(manifest)
+    rec = catalog.records[2]
+    p = cli.entry_params(catalog.entries[2], rec)
+    batch = apply_highpass(simulate(p, rec.dt, 2, (7, 2), engine), p.fc_hz)
+    with np.load(out / f"{rec.id}_batch.npz") as z:
+        np.testing.assert_array_equal(z["realizations"], batch.realizations)
 
 
 def test_simulate_engines_agree_on_ai(catalog_dir, tmp_path):
@@ -245,7 +276,7 @@ def test_fit_fc_empty_catalog(tmp_path):
     ["--fc-grid=-0.1:0.5:0.1"],
     ["--mc", "1"],
     ["--fc-grid", "0:2:1e-12"],     # 2e12 grid points
-    ["--fc-grid", "1e-9:0.5:0.1"],  # a high-pass kernel of ~1.8e11 samples
+    ["--fc-grid", "1e-9:0.5:0.1"],  # a high-pass pad of ~1.8e11 samples
 ])
 def test_fit_fc_bad_search_is_data_error(catalog_dir, tmp_path, flags):
     out = tmp_path / "o"
@@ -293,7 +324,7 @@ def test_n_below_one_is_data_error(catalog_dir, tmp_path, command):
     ("fit-fc", {"zeta_f": "1.5"}),
     ("sample-params", {"zeta_f": "1.5"}),
     ("simulate", {"t_mid": "50", "t_total": "20"}),
-    ("simulate", {"fc_hz": "1e-9"}),  # a high-pass kernel of ~1.8e11 samples
+    ("simulate", {"fc_hz": "1e-9"}),  # a high-pass pad of ~1.8e11 samples
     ("simulate", {"fc_hz": "nan"}),
     ("fit-fc", {"d595": "inf"}),
 ])
@@ -493,6 +524,48 @@ def test_record_with_no_motion_is_data_error(catalog_dir, tmp_path, capsys,
                                {"path": str(tmp_path / "zero.AT2")}, keep)
     assert_data_error([command, "--manifest", manifest] + flags, tmp_path / "o",
                       "entry rec03: zero Sa", capsys)
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("simulate", ["--n", "3"]),
+    ("fit-fc", ["--mc", "2", "--fc-grid", "0.1:0.3:0.1"]),
+])
+@pytest.mark.parametrize("edits,named", [
+    ({"omega_mid": "26"}, "entry rec03: omega_max*dt = 0.540 >= 0.5"),
+    ({"d595": "24", "t_mid": "5"}, "entry rec03: no gamma modulator reproduces"),
+])
+def test_entry_the_model_refuses_is_data_error_at_load(catalog_dir, tmp_path, capsys,
+                                                       command, flags, edits, named):
+    # rec03 comes last: the run stops as the catalog loads, before rec00
+    # is simulated or fitted, and writes nothing but its run log
+    manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", edits, keep=4)
+    out = tmp_path / "o"
+    assert_data_error([command, "--manifest", manifest] + flags, out, named, capsys)
+    assert sorted(p.name for p in out.iterdir()) == ["run_log.json"]
+
+
+def test_numerical_failure_names_the_entry(catalog_dir, tmp_path, capsys,
+                                           monkeypatch):
+    def optimize_fc(rec, *args):
+        raise NumericalError("zero spread")
+
+    monkeypatch.setattr(fc_opt, "optimize_fc", optimize_fc)
+    out = tmp_path / "o"
+    assert main(["fit-fc", "--manifest", edited_manifest(catalog_dir, tmp_path / "m.txt"),
+                 "--out", str(out), "--mc", "2", "--fc-grid", "0.1:0.3:0.1"]) == 3
+    assert capsys.readouterr().err == "stochgm: numerical failure: entry rec00: zero spread\n"
+    assert json.loads((out / "run_log.json").read_text())["status"] == "numerical_error"
+
+
+@pytest.mark.parametrize("command", ["sensitivity", "sample-params"])
+def test_parameter_same_on_every_entry_is_data_error(catalog_dir, tmp_path, capsys,
+                                                     command):
+    manifest = tmp_path / "m.txt"
+    text = Path(edited_manifest(catalog_dir, manifest)).read_text()
+    manifest.write_text("\n".join("zeta_f = 0.3" if line.startswith("zeta_f =") else line
+                                  for line in text.splitlines()) + "\n")
+    assert_data_error([command, "--manifest", str(manifest)], tmp_path / "o",
+                      f"--manifest {manifest}: zeta_f is 0.3 on every entry", capsys)
 
 
 def test_fit_fc_independent_of_jobs(catalog_dir, tmp_path):

@@ -13,7 +13,7 @@ from test_gm_model import (dense_spectral_x1, dense_temporal_x1, measure_q2_targ
                            spectral_x1)
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 
@@ -65,11 +65,27 @@ def filter_params(draw):
                     zeta_f=draw(st.floats(0.05, 0.9)), t_total=t_total), dt
 
 
-@settings(max_examples=40, deadline=None)
+# derandomized, with no example database: every run draws the same cases
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(case=filter_params(), n=st.integers(1, 4), seed=st.integers(0, 2**31 - 1))
+# three cases that broke the realizations' former bound of 1e-12 of max on
+# the temporal engine: the first two as they were recorded, rounded, which
+# read 0.95 and 0.14 of that bound; the third exact, which reads 1.5 of it:
+# sigma at sample 2 is 4.6e-6 of its max with a 3.7e-11 relative error
+@example(case=(GMParams(log_ai=math.log(0.5), d595=0.5216, t_mid=0.2608,
+                        omega_mid=2.011875, omega_rate=7.29486, zeta_f=0.75,
+                        t_total=1.63), 0.005), n=1, seed=1)
+@example(case=(GMParams(log_ai=math.log(0.5), d595=0.4816, t_mid=0.2408,
+                        omega_mid=2.77, omega_rate=10.4651, zeta_f=0.75,
+                        t_total=1.505), 0.005), n=1, seed=16)
+@example(case=(GMParams(log_ai=math.log(0.5), d595=0.6992, t_mid=0.3496,
+                        omega_mid=3.7849999999999997, omega_rate=10.469107551487413,
+                        zeta_f=0.5, t_total=2.185), 0.005), n=1, seed=1)
 def test_engines_match_dense(case, n, seed):
-    """Both engines within 1e-12 of max of the dense references on X1,
-    sigma_X1 and the realizations; a constant omega takes one node."""
+    """Both engines within 1e-12 of max of the dense references on X1 and
+    sigma_X1; the realizations too, plus the error X1 / sigma_X1 carries
+    from sigma_X1's relative error at each sample. A constant omega takes
+    one node."""
     params, dt = case
     t = gm_model._time_grid(params, dt)
     big_k = math.ceil(params.t_total / (2 * dt))
@@ -85,6 +101,11 @@ def test_engines_match_dense(case, n, seed):
 
         batch = engine(params, dt, n, seed)
         ref, _ = gm_model._normalize_and_modulate(x1_ref, sigma_ref, q)
-        assert np.abs(batch.realizations - ref).max() <= 1e-12 * np.abs(ref).max()
+        # near t = 0 sigma is a small fraction of its max, so its error
+        # relative to itself can exceed 1e-12, and X2 carries that in full
+        with np.errstate(divide="ignore", invalid="ignore"):
+            carried = np.abs(ref) * np.nan_to_num(np.abs(sigma - sigma_ref) / sigma)
+        assert np.all(np.abs(batch.realizations - ref)
+                      <= 1e-12 * np.abs(ref).max() + carried)
         assert batch.omega_nodes == p
         assert p == 1 or params.omega_rate != 0
