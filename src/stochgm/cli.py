@@ -40,6 +40,10 @@ log = logging.getLogger("stochgm")
 
 # fixed default seed: reproducibility is the product, not entropy
 DEFAULT_SEED = 20240715
+# numpy's SeedSequence reads an int seed as 32-bit words and drops a trailing
+# zero word, so simulate's entropy (seed, k) at a seed of 2**32 or more
+# would be another seed's: (5 + 2**32, 0) draws (5, 1)'s noise
+MAX_SEED = 2 ** 32 - 1
 CORR_PANEL_T2 = (0.1, 0.5, 1.0, 4.0)
 # realizations x padded samples of one record's simulation (--n or --mc):
 # 128 MiB per float64 array; either engine peaks at 2.3 (n, m) arrays, the
@@ -69,6 +73,8 @@ def _check_args(args):
         value = getattr(args, flag, least)
         if value < least:
             raise DataError(f"--{flag} must be at least {least}, got {value}")
+    if getattr(args, "seed", 0) > MAX_SEED:
+        raise DataError(f"--seed must be at most {MAX_SEED}, got {args.seed}")
     if hasattr(args, "periods"):
         lo, hi, count = args.periods
         most = math.isqrt(MAX_SIM_ELEMENTS)
@@ -145,7 +151,7 @@ def _load(args, manifest=None, fc=False):
     if not (engine or fc):
         return catalog
     if engine:
-        from .gm_model import _check_dt, highpass_pad, n_samples, solve_modulator
+        from .gm_model import _check_dt, _modulator, highpass_pad, n_samples
 
         flag, n = ("--mc", args.mc) if hasattr(args, "mc") else ("--n", args.n)
         corners = None  # the entry's fc_hz; the --fc-grid ends cover the grid
@@ -165,7 +171,7 @@ def _load(args, manifest=None, fc=False):
                 if n * m > MAX_SIM_ELEMENTS:
                     raise DataError(f"{flag} {n} realizations x {m} samples "
                                     f"exceeds {MAX_SIM_ELEMENTS} elements")
-                solve_modulator(p.log_ai, p.d595, p.t_mid, p.t_total)
+                _modulator(p.log_ai, p.d595, p.t_mid, p.t_total)
         except (ValueError, DataError, NumericalError) as exc:
             raise DataError(f"entry {entry.id}: {exc}") from exc
     if engine:
@@ -309,7 +315,7 @@ def cmd_fit_fc(args):
         return fc_opt.optimize_fc(rec, params[rec.id].with_fc(None),
                                   args.fc_search, args.engine)
 
-    results = dict(zip(params, _per_record(one, catalog.records, args.jobs)))
+    results = dict(zip(params, _per_record(one, catalog.records)))
     for rid, res in results.items():
         _write_csv(os.path.join(args.out, f"{rid}_epsilon.csv"), ["fc_hz", "epsilon"],
                    [(f"{f:.4g}", f"{e:.8g}")
@@ -474,7 +480,7 @@ SUBCOMMANDS = {
                  ("seed", "engine", "n")),
     "spectrum": (cmd_spectrum, "response spectra of records", ("periods",)),
     "fit-fc": (cmd_fit_fc, "optimize fc per record",
-               ("seed", "jobs", "engine", "mc", "fc_grid")),
+               ("seed", "engine", "mc", "fc_grid")),
     "stats": (cmd_stats, "catalog spectral statistics",
               ("jobs", "periods", "compare")),
     "sensitivity": (cmd_sensitivity, "regression sensitivity analysis",

@@ -23,6 +23,7 @@ zero pad, so it holds O(n * (m + pad)) memory and no filter kernel.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -193,6 +194,15 @@ def solve_modulator(log_ai, d595, t_mid, t_total):
     return ModulatorCoeffs(a1=a1, a2=(k + 1) / 2, a3=r / 2)
 
 
+@functools.lru_cache(maxsize=4096)
+def _modulator(log_ai, d595, t_mid, t_total):
+    """solve_modulator, once per parameter set and process: the CLI solves
+    each entry's modulator to check it, and the engine's Steps 2-3 reuse
+    that solve (in a catalog of more than 4,096 entries, the check's solves
+    are evicted before the engines run)."""
+    return solve_modulator(log_ai, d595, t_mid, t_total)
+
+
 # ---------------------------------------------------------------------------
 # white-noise substreams
 # ---------------------------------------------------------------------------
@@ -356,7 +366,7 @@ def _spectral_x1(params, t, dt, coef):
 
 def _batch(params, t, dt, seed, domain_tag, x1, sigma, p):
     """Steps 2-3 on X1 (n, m) in place, packed as a SimBatch."""
-    q = solve_modulator(params.log_ai, params.d595, params.t_mid, params.t_total)(t)
+    q = _modulator(params.log_ai, params.d595, params.t_mid, params.t_total)(t)
     x3, floor_hits = _normalize_and_modulate(x1, sigma, q)
     return SimBatch(realizations=x3, dt=dt, seed=seed, params=params, domain_tag=domain_tag,
                     sigma_floor_hits=floor_hits, omega_nodes=p)

@@ -107,11 +107,12 @@ def test_usage_error():
     ("sensitivity", "--seed=1"),
     ("sample-params", "--jobs=2"),
     ("sensitivity", "--jobs=2"),
+    ("fit-fc", "--jobs=2"),
 ])
 def test_flag_on_subcommand_that_ignores_it_is_usage_error(tmp_path, capsys,
                                                            command, flag):
     # --seed is read only by simulate, fit-fc and sample-params; --jobs only
-    # by fit-fc and stats
+    # by stats
     assert main([command, "--manifest", "m.txt", "--out", str(tmp_path),
                  flag]) == 1
     assert "unrecognized arguments" in capsys.readouterr().err
@@ -235,7 +236,7 @@ def test_fit_fc_recovers(catalog_dir, tmp_path):
     out = tmp_path / "fc"
     assert main(["fit-fc", "--manifest", str(catalog_dir / "manifest.txt"),
                  "--out", str(out), "--fc-grid", "0.05:0.95:0.1",
-                 "--mc", "20", "--seed", "3", "--jobs", "2"]) == 0
+                 "--mc", "20", "--seed", "3"]) == 0
     _, rows = read_csv(out / "fc_table.csv")
     assert len(rows) == 12
     fc_hat = {rid: float(v) for rid, v in rows}
@@ -379,12 +380,47 @@ def test_bad_periods_is_data_error(catalog_dir, tmp_path, capsys, command,
 @pytest.mark.parametrize("command,flag", [
     ("simulate", "--seed=-1"),
     ("stats", "--jobs=0"),
-    ("fit-fc", "--jobs=-1"),
+    ("sample-params", "--n=0"),
 ])
 def test_flag_below_minimum_is_data_error(catalog_dir, tmp_path, capsys,
                                           command, flag):
     assert_data_error([command, "--manifest", str(catalog_dir / "manifest.txt"),
                        flag], tmp_path / "o", flag.split("=")[0], capsys)
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit-fc", "sample-params"])
+def test_seed_over_32_bits_is_data_error(catalog_dir, tmp_path, capsys, command):
+    # numpy reads a seed of 2**32 or more as two words, so simulate's
+    # entropy (2**32 + 5, 0) would draw the noise of (5, 1)
+    assert_data_error([command, "--manifest", str(catalog_dir / "manifest.txt"),
+                       f"--seed={2 ** 32}"], tmp_path / "o",
+                      f"--seed must be at most {2 ** 32 - 1}", capsys)
+
+
+def test_largest_seed_runs(catalog_dir, tmp_path):
+    manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", keep=1)
+    assert main(["simulate", "--manifest", manifest, "--out", str(tmp_path / "o"),
+                 "--n", "2", f"--seed={2 ** 32 - 1}"]) == 0
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("simulate", ["--n", "2"]),
+    ("fit-fc", ["--fc-grid", "0.1:0.3:0.1", "--mc", "4"]),
+])
+def test_modulator_solved_once_per_entry(catalog_dir, tmp_path, monkeypatch,
+                                         command, flags):
+    # _load solves each entry's modulator to check it; the engine reuses it
+    from stochgm import gm_model
+
+    solves = []
+    solve = gm_model.solve_modulator
+    monkeypatch.setattr(gm_model, "solve_modulator",
+                        lambda *a: solves.append(a) or solve(*a))
+    gm_model._modulator.cache_clear()
+    manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", keep=3)
+    assert main([command, "--manifest", manifest, "--out", str(tmp_path / "o")]
+                + flags) == 0
+    assert len(solves) == 3
 
 
 @pytest.mark.parametrize("command,flag", [("simulate", "--n"), ("fit-fc", "--mc")])
@@ -568,16 +604,25 @@ def test_parameter_same_on_every_entry_is_data_error(catalog_dir, tmp_path, caps
                       f"--manifest {manifest}: zeta_f is 0.3 on every entry", capsys)
 
 
-def test_fit_fc_independent_of_jobs(catalog_dir, tmp_path):
-    manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", keep=4)
-    outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
-    for jobs, out in zip((1, 2), outs):
+def test_fit_fc_independent_of_cpus(catalog_dir, tmp_path, monkeypatch):
+    # at --mc 100 every high-pass and plain-period batch (100, 1251 + pad)
+    # holds more than two row blocks, so on 3 CPUs each splits its rows
+    from stochgm import resp_spectrum
+
+    manifest = edited_manifest(catalog_dir, tmp_path / "m.txt", keep=2)
+    outs = [tmp_path / f"cpus{cpus}" for cpus in (1, 3)]
+    splits = []
+    workers = resp_spectrum._workers
+    monkeypatch.setattr(resp_spectrum, "_workers",
+                        lambda: splits.append(1) or workers())
+    for cpus, out in zip((1, 3), outs):
+        monkeypatch.setattr(resp_spectrum, "_CPUS", cpus)
         assert main(["fit-fc", "--manifest", manifest, "--out", str(out),
-                     "--fc-grid", "0.05:0.95:0.1", "--mc", "10",
-                     "--jobs", str(jobs)]) == 0
+                     "--fc-grid", "0.05:0.95:0.1"]) == 0
+        assert bool(splits) == (cpus > 1)
     names = sorted(p.name for p in outs[0].glob("*.csv"))
     assert names == sorted(p.name for p in outs[1].glob("*.csv"))
-    assert "fc_table.csv" in names and len(names) == 5
+    assert "fc_table.csv" in names and len(names) == 3
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 

@@ -93,6 +93,118 @@ class TestRecurrence:
             recurrence([1.0, 0.1, 0.1, 0.1], [1.0], np.ones(5))
 
 
+class TestRowSplit:
+    """recurrence runs a batch of at least two row blocks in row shares, one
+    per CPU (resp_spectrum._CPUS): the rows are independent, so the shares
+    move no bit, take no more memory than one serial call, pass a worker's
+    error to the caller, and survive a fork."""
+
+    # 7 rows of 30,000: 3 shares (not dividing 7) at 3 CPUs
+    SHAPE = (7, 30000)
+    REAL = TestRecurrence.REAL
+    LAM = TestRecurrence.LAM
+
+    @pytest.fixture
+    def shares(self, monkeypatch):
+        """The calls that split, counted, under the CPU count set by the
+        returned function."""
+        calls = []
+        workers = resp_spectrum._workers
+        monkeypatch.setattr(resp_spectrum, "_workers",
+                            lambda: calls.append(1) or workers())
+
+        def cpus(count):
+            monkeypatch.setattr(resp_spectrum, "_CPUS", count)
+            calls.clear()
+            return calls
+        return cpus
+
+    @pytest.mark.parametrize("b, a, imag, zi_width, extra", [
+        (REAL[0], REAL[1], 0.0, 0, 0),
+        (REAL[0], REAL[1], 0.0, 2, 500),
+        ([0.7], [1.0, -LAM], 0.0, 1, 0),
+        ([0.7, 0.1j], [1.0, -LAM, 0.2 * LAM ** 2], 0.5, 2, 500),
+    ], ids=["real", "real-zi-size", "pole-zi1", "complex-zi-size"])
+    @pytest.mark.parametrize("ndim", [1, 2])
+    def test_bits_do_not_depend_on_cpus(self, shares, b, a, imag, zi_width, extra,
+                                        ndim):
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal(self.SHAPE)
+        x = x + imag * 1j * x if imag else x
+        zi = rng.standard_normal((x.shape[0], zi_width)) if zi_width else None
+        if ndim == 1:
+            x, zi = x[0], None if zi is None else zi[0]
+        size = x.shape[-1] + extra
+        out = {}
+        for cpus in (1, 3):
+            calls = shares(cpus)
+            out[cpus] = recurrence(b, a, x, zi=zi, size=size)
+            assert len(calls) == (2 if cpus > 1 and ndim == 2 else 0)
+        assert out[1].dtype == out[3].dtype and out[1].shape == out[3].shape
+        assert out[1].tobytes() == out[3].tobytes()
+
+    def test_worker_error_reaches_caller(self, shares, monkeypatch):
+        import threading
+
+        loop = resp_spectrum._sosfilt
+
+        def fail_off_main(sos, y, state):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("in a worker")
+            loop(sos, y, state)
+
+        monkeypatch.setattr(resp_spectrum, "_sosfilt", fail_off_main)
+        calls = shares(3)
+        with pytest.raises(FloatingPointError, match="in a worker"):
+            recurrence(*self.REAL, np.ones(self.SHAPE))
+        assert calls
+
+    def test_forked_child_splits(self, shares):
+        # the child inherits the parent's pool object but none of its
+        # threads; a call that used them would wait forever
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            pytest.skip("no fork on this platform")
+        x = np.random.default_rng(9).standard_normal(self.SHAPE)
+        calls = shares(3)
+        ref = recurrence(*self.REAL, x)
+        assert calls
+
+        def child():
+            assert recurrence(*self.REAL, x).tobytes() == ref.tobytes()
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+            pytest.fail("the forked child's split call hung")
+        assert proc.exitcode == 0
+
+    def test_split_peak_memory(self, shares):
+        """tracemalloc peak of a split call at fit-fc's batch shape: the
+        serial call's plus the pool's bookkeeping, under one row of the
+        output y, and the serial call's is y's. A share copies into its rows
+        of the one output; a temporary of a share's rows holds a row."""
+        x = np.random.default_rng(10).standard_normal((100, 1400))
+        zi = np.ones((100, 1))
+        peaks = {}
+        for cpus in (1, 3):
+            shares(cpus)
+            recurrence(*self.REAL, x, zi=zi, size=2000)  # the pool, at 3 CPUs
+            tracemalloc.start()
+            try:
+                y = recurrence(*self.REAL, x, zi=zi, size=2000)
+                peaks[cpus] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        row = y.nbytes // y.shape[0]
+        assert y.nbytes <= peaks[1] < y.nbytes + row
+        assert peaks[3] < peaks[1] + row
+
+
 class TestPeriodGrid:
     def test_endpoints(self):
         grid = standard_period_grid()
