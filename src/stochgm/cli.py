@@ -394,7 +394,7 @@ def cmd_sensitivity(args):
     catalog, theta = _load(args, fc=True)
     try:
         dm = sensitivity.DesignMatrix(theta)
-    except ValueError as exc:
+    except (ValueError, NumericalError) as exc:
         raise DataError(f"--manifest {args.manifest}: {exc}") from exc
     periods = args.periods
     log_sa, spectra = _catalog_log_sa(catalog, periods)

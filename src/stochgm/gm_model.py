@@ -10,7 +10,7 @@ Both engines build the same pre-filter process X3:
 3. gamma-type envelope X3 = q(t) * X2.
 
 Both engines interpolate the oscillator in omega at p Chebyshev nodes
-(_omega_nodes) and run one exact recursion (temporal) or one inverse FFT
+(_node_bases) and run one exact recursion (temporal) or one inverse FFT
 (spectral) per node: O(p * n * m) work and O(n * m + p * K) memory, each
 node's temporaries one row block (resp_spectrum.row_blocks) at a time. No
 matrix product is left, and each recursion runs in sosfilt's loop, which
@@ -194,12 +194,11 @@ def solve_modulator(log_ai, d595, t_mid, t_total):
     return ModulatorCoeffs(a1=a1, a2=(k + 1) / 2, a3=r / 2)
 
 
-@functools.lru_cache(maxsize=4096)
+@functools.cache
 def _modulator(log_ai, d595, t_mid, t_total):
     """solve_modulator, once per parameter set and process: the CLI solves
     each entry's modulator to check it, and the engine's Steps 2-3 reuse
-    that solve (in a catalog of more than 4,096 entries, the check's solves
-    are evicted before the engines run)."""
+    that solve."""
     return solve_modulator(log_ai, d595, t_mid, t_total)
 
 
@@ -243,43 +242,38 @@ def _normalize_and_modulate(x1, sigma, q):
     return x1, int(ok.size - np.count_nonzero(ok))
 
 
-def _omega_nodes(omega, zeta):
-    """Nodes in omega and their barycentric weights (Berrut & Trefethen
-    2004): p Chebyshev points of the second kind on [lo, hi] = [min omega,
-    max omega]. Both kernels, h(tau; w) for every tau >= 0 and |H(w_k; w)|
+def _node_bases(omega, zeta):
+    """Yield each node w_p in omega with its barycentric Lagrange basis
+    l_p(omega) (m,), exactly 1 or 0 where omega equals a node (Berrut &
+    Trefethen 2004). The nodes are p Chebyshev points of the second kind on
+    [lo, hi] = [min omega, max omega], with weights (-1)^p halved at the
+    ends. Both kernels, h(tau; w) for every tau >= 0 and |H(w_k; w)|
     (branch points at w_k*(sqrt(1-zeta^2) +- i*zeta)), are bounded inside
     the cone |Im w| < zeta/sqrt(1-zeta^2) * Re w. The largest Bernstein
     ellipse of [lo, hi] in it has sinh(eta) = 2*zeta*sqrt(lo*hi)/(hi - lo),
     so the error falls as exp(-eta*p): p = ceil(ln(1/NODE_TOL) / eta) + 1,
     1 for a constant omega. Where p reaches the count of distinct omega
-    values, those values are the nodes and the interpolant is exact."""
+    values, those values are the nodes, with unit weights, and the
+    interpolant is exact."""
     lo, hi = float(omega.min()), float(omega.max())
-    if hi == lo:
-        return np.array([lo]), np.ones(1)
-    eta = math.asinh(2 * zeta * math.sqrt(lo * hi) / (hi - lo))
-    p = math.ceil(math.log(1 / NODE_TOL) / eta) + 1
-    distinct = np.unique(omega)
-    if p >= distinct.size:
-        return distinct, np.ones(distinct.size)
-    x = np.cos(math.pi * np.arange(p) / (p - 1))
-    weights = (-1.0) ** np.arange(p)
-    weights[[0, -1]] /= 2
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x, weights
-
-
-def _lagrange(omega, nodes, weights):
-    """The barycentric Lagrange basis as a function of the node index p:
-    l_p(omega) (m,), exactly 1 or 0 where omega equals a node."""
+    nodes, weights = np.array([lo]), np.ones(1)
+    if hi != lo:
+        eta = math.asinh(2 * zeta * math.sqrt(lo * hi) / (hi - lo))
+        p = math.ceil(math.log(1 / NODE_TOL) / eta) + 1
+        nodes = np.unique(omega)
+        weights = np.ones(nodes.size)
+        if p < nodes.size:
+            x = np.cos(math.pi * np.arange(p) / (p - 1))
+            nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+            weights = (-1.0) ** np.arange(p)
+            weights[[0, -1]] /= 2
     with np.errstate(divide="ignore"):  # infinite terms at the nodes
         den = sum(w / (omega - x) for x, w in zip(nodes, weights))
-
-    def basis(p):
+    for x, w in zip(nodes, weights):
         with np.errstate(divide="ignore", invalid="ignore"):
-            ell = weights[p] / (omega - nodes[p]) / den
-        ell[omega == nodes[p]] = 1.0
-        return ell
-
-    return basis
+            ell = w / (omega - x) / den
+        ell[omega == x] = 1.0
+        yield x, ell
 
 
 def _temporal_x1(params, t, dt, z):
@@ -296,15 +290,12 @@ def _temporal_x1(params, t, dt, z):
     (z^-1 + rho z^-2) / ((1 - rho/z)(1 - lam^2/z)(1 - conj(lam)^2/z)) run
     over l_p; the difference rho^k - Re lam^2k would lose eps/theta^2 at
     short lags. h(0) = 0, so sigma is exactly 0 at t = 0."""
-    omega = params.omega_at(t)  # filter parameters frozen at excitation time
     zeta = params.zeta_f
     sq = math.sqrt(1 - zeta ** 2)
-    nodes, weights = _omega_nodes(omega, zeta)
-    basis = _lagrange(omega, nodes, weights)
     x1 = np.zeros(z.shape)
     var = np.zeros(t.size)
-    for p, w in enumerate(nodes):
-        ell = basis(p)
+    # filter parameters frozen at excitation time
+    for p, (w, ell) in enumerate(_node_bases(params.omega_at(t), zeta), 1):
         lam = cmath.exp(complex(-zeta, sq) * w * dt)
         b = [math.sqrt(dt) * w / sq]
         for rows in row_blocks(*z.shape):
@@ -315,7 +306,7 @@ def _temporal_x1(params, t, dt, z):
         for pole in (mu, mu.conjugate()):
             h2 = recurrence([1.0], [1.0, -pole], h2)
         var += h2.real
-    return x1, np.sqrt(np.maximum(var, 0.0)), nodes.size
+    return x1, np.sqrt(np.maximum(var, 0.0)), p
 
 
 def _spectral_coef(ab, dt):
@@ -345,23 +336,19 @@ def _spectral_x1(params, t, dt, coef):
     n, big_k = coef.shape[0], coef.shape[1] - 1
     m = t.size
     dw = math.pi / (dt * big_k)
-    w = dw * np.arange(big_k + 1)  # bin 0 carries no noise
-    omega = params.omega_at(t)
+    wk = dw * np.arange(big_k + 1)  # bin 0 carries no noise
     zeta = params.zeta_f
-    nodes, weights = _omega_nodes(omega, zeta)
-    basis = _lagrange(omega, nodes, weights)
     x1 = np.zeros((n, m))
     var = np.zeros(m)
-    for p, om in enumerate(nodes):
-        ell = basis(p)
-        mag = om ** 2 / np.sqrt((om ** 2 - w ** 2) ** 2 + (2 * zeta * om * w) ** 2)
+    for p, (w, ell) in enumerate(_node_bases(params.omega_at(t), zeta), 1):
+        mag = w ** 2 / np.sqrt((w ** 2 - wk ** 2) ** 2 + (2 * zeta * w * wk) ** 2)
         var += ell * (2 * dw * (mag[1:] ** 2).sum())
         for rows in row_blocks(n, m):
             y = np.fft.irfft(coef[rows] * mag, n=2 * big_k, axis=-1)
             for i0 in range(0, m, 2 * big_k):  # m <= 2K + 1: one wrapped sample
                 i1 = min(m, i0 + 2 * big_k)
                 x1[rows, i0:i1] += ell[i0:i1] * y[:, :i1 - i0]
-    return x1, np.sqrt(var), nodes.size
+    return x1, np.sqrt(var), p
 
 
 def _batch(params, t, dt, seed, domain_tag, x1, sigma, p):

@@ -3,6 +3,16 @@ import pytest
 
 from stochgm import GMParams
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # every property draws the same cases on every run, replays none from an
+    # example database, and has no per-example time limit
+    settings.register_profile("fixed", derandomize=True, database=None, deadline=None)
+    settings.load_profile("fixed")
+
 
 @pytest.fixture(scope="session")
 def base_params():

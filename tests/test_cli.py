@@ -604,6 +604,21 @@ def test_parameter_same_on_every_entry_is_data_error(catalog_dir, tmp_path, caps
                       f"--manifest {manifest}: zeta_f is 0.3 on every entry", capsys)
 
 
+def test_dependent_parameters_are_data_error(catalog_dir, tmp_path, capsys):
+    # each entry's fc_hz equal to its own zeta_f: no column is constant, but
+    # the design matrix is rank deficient
+    manifest = tmp_path / "m.txt"
+    blocks = []
+    for block in Path(edited_manifest(catalog_dir, manifest)).read_text().split("\n\n"):
+        fields = dict(line.split(" = ", 1) for line in block.strip().splitlines())
+        fields["fc_hz"] = fields["zeta_f"]
+        blocks.append("\n".join(f"{k} = {v}" for k, v in fields.items()))
+    manifest.write_text("\n\n".join(blocks) + "\n")
+    assert_data_error(["sensitivity", "--manifest", str(manifest)], tmp_path / "o",
+                      f"--manifest {manifest}: design matrix (with intercept) is rank "
+                      "deficient", capsys)
+
+
 def test_fit_fc_independent_of_cpus(catalog_dir, tmp_path, monkeypatch):
     # at --mc 100 every high-pass and plain-period batch (100, 1251 + pad)
     # holds more than two row blocks, so on 3 CPUs each splits its rows

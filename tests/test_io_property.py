@@ -16,7 +16,7 @@ NAMES = st.text("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_
 
 # write_at2 prints dt as its shortest round-trip repr and samples with 8
 # significant digits; the examples are steps that 5 decimals rewrote
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(rec_id=NAMES, dt=st.floats(0.0, exclude_min=True, allow_infinity=False),
        accel=st.lists(st.floats(-10.0, 10.0, allow_subnormal=False),
                       min_size=2, max_size=300),
@@ -39,7 +39,7 @@ ENTRY = st.tuples(IDS, NAMES.map(lambda s: f"records/{s}.AT2"),
                                   st.floats(allow_nan=False, allow_infinity=False)))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(entries=st.lists(ENTRY, max_size=6, unique_by=lambda e: e[0]),
        gaps=st.lists(st.sampled_from(["\n", "\n\n", "\n# comment\n", "\n\n\n"]),
                      min_size=6, max_size=6))

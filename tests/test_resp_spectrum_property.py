@@ -24,7 +24,7 @@ def record(seed, m):
     return np.random.default_rng(seed).standard_normal(m)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(dt=DTS, periods=PERIODS, damping=DAMPING, m=st.integers(1, 800),
        seed=st.integers(0, 2**31 - 1))
 def test_sign_symmetric(dt, periods, damping, m, seed):
@@ -33,7 +33,7 @@ def test_sign_symmetric(dt, periods, damping, m, seed):
                                   compute_sa(a, dt, periods, damping).sa)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(dt=DTS, periods=PERIODS, damping=DAMPING, m=st.integers(1, 800),
        zeros=st.integers(1, 300), seed=st.integers(0, 2**31 - 1))
 def test_leading_rest_changes_nothing(dt, periods, damping, m, zeros, seed):
@@ -45,7 +45,7 @@ def test_leading_rest_changes_nothing(dt, periods, damping, m, zeros, seed):
                                rtol=1e-12, atol=0)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(dt=DTS, periods=PERIODS, damping=DAMPING, n=st.integers(1, 5),
        m=st.integers(1, 800), seed=st.integers(0, 2**31 - 1))
 def test_batch_rows_match_single_series(dt, periods, damping, n, m, seed):

@@ -61,7 +61,7 @@ def pair_surfaces(bundle, s):
 BUNDLES = st.builds(make_bundle, st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(bundle=BUNDLES, mode=st.sampled_from([None, "const_fc", "no_cov"]))
 def test_decompositions_match_pair_formulas(bundle, mode):
     s = bundle.sigma_tt if mode is None else modified_sigma_tt(bundle, mode)
@@ -78,7 +78,7 @@ def test_decompositions_match_pair_formulas(bundle, mode):
             np.testing.assert_allclose(list(got.values()), list(want.values()), **TOL)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(bundle=BUNDLES)
 def test_surfaces_match_pair_formulas(bundle):
     var, rho = pair_surfaces(bundle, bundle.sigma_tt)
