@@ -37,6 +37,7 @@ from .resp_spectrum import recurrence, row_blocks
 SIGMA_FLOOR_REL = 1e-6  # below this fraction of max sigma, X2 is set to 0
 # target Chebyshev tail of the engines' interpolation in omega, relative
 NODE_TOL = 1e-14
+LOG_FLOAT_RANGE = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,8 @@ class ModulatorCoeffs:
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t)
         pos = t > 0
-        out[pos] = self.a1 * t[pos] ** (self.a2 - 1) * np.exp(-self.a3 * t[pos])
+        out[pos] = np.exp(math.log(self.a1) + (self.a2 - 1) * np.log(t[pos])
+                          - self.a3 * t[pos])
         return out
 
 
@@ -141,57 +143,54 @@ def solve_modulator(log_ai, d595, t_mid, t_total):
     """Fit (a1, a2, a3) so q^2 reproduces the energy-arrival targets.
 
     q^2 is proportional to a gamma kernel with shape k = 2*a2 - 1 and rate
-    r = 2*a3, truncated at t_total. Nested bracketed root-finding: for each
-    candidate shape, the rate matching t95 - t5 = d595 is found by Brent's
-    method (_brentq); an outer Brent search drives t45 to t_mid. a1 then
-    scales q so that (pi / 2g) * integral(q^2) equals AI = exp(log_ai).
+    r = 2*a3, truncated at t_total. An inner Brent root (_brentq) finds the
+    rate with t45 = t_mid for a shape: t45 falls in r, since the truncated
+    kernels t**(k-1) * exp(-r*t) are ordered by likelihood ratio. An outer
+    one finds the shape with t95 - t5 = d595 along that curve, from the
+    least shape whose t45 reaches t_mid up to 2e4. Both brackets are known
+    before any evaluation. That the span falls in k along the curve is not
+    proven; test_modulator_reaches_late_peaks checks it. a1 then scales q,
+    in log space, so that (pi / 2g) * integral(q^2) equals exp(log_ai).
     """
     if d595 >= t_total:
         raise NumericalError(f"d595={d595} does not fit inside t_total={t_total}")
     if not 0 < t_mid < t_total:
         raise NumericalError("t_mid must lie inside (0, t_total)")
+    if log_ai > LOG_FLOAT_RANGE[1]:
+        raise NumericalError(f"AI = exp(log_ai={log_ai}) is outside the float range")
 
-    def span_resid(r, k):
-        t5, t95 = _ai_quantile_times(k, r, t_total, (0.05, 0.95))
+    @functools.cache
+    def rate_for_tmid(k):
+        def resid(logr):
+            return _ai_quantile_times(k, math.exp(logr), t_total, (0.45,))[0] - t_mid
+        # by that order, t45 >= 0.45**(1/(k - r*t_total)) * t_total at lo,
+        # and t45 < t_mid / 2 at hi
+        lo, hi = np.log(gammaincinv(k, [1e-300, 0.45]) / [t_total, t_mid / 2])
+        return math.exp(_brentq(resid, lo, hi, xtol=1e-13))
+
+    def span_resid(logk):
+        k = math.exp(logk)
+        t5, t95 = _ai_quantile_times(k, rate_for_tmid(k), t_total, (0.05, 0.95))
         return (t95 - t5) - d595
 
-    def rate_for_span(k):
-        rlo, rhi = 1e-7, 1e4
-        if span_resid(rlo, k) < 0:
-            return None  # even the flattest member of this shape is too short
-        return _brentq(lambda r: span_resid(r, k), rlo, rhi, xtol=1e-13, rtol=8.9e-16)
-
-    def tmid_resid(logk):
-        k = math.exp(logk)
-        r = rate_for_span(k)
-        if r is None:
-            return None
-        return _ai_quantile_times(k, r, t_total, (0.45,))[0] - t_mid
-
-    # scan shapes (k > 1 so that a2 > 1) for a sign change, then refine
-    logks = np.log(np.logspace(math.log10(1.0005), math.log10(2e4), 120))
-    bracket = None
-    prev = None
-    for lk in logks:
-        v = tmid_resid(lk)
-        if v is None:
-            prev = None
-            continue
-        if prev is not None and np.sign(v) != np.sign(prev[1]):
-            bracket = (prev[0], lk)
-            break
-        prev = (lk, v)
-    if bracket is None:
+    # 0.45**(1/k) * t_total > t_mid from k_least on; from k_lo on, lo's bound
+    # reaches t_mid too, while k_lo <= 2 * k_least (t_mid < ~0.9995 t_total)
+    k_least = max(1.0005, math.log(0.45) / math.log(t_mid / t_total)) * (1 + 1e-6)
+    k_lo = k_least + gammaincinv(2 * k_least, 1e-300)
+    ends = math.log(k_lo), math.log(2e4)
+    if k_lo > 2 * k_least or span_resid(ends[0]) < 0 or span_resid(ends[1]) > 0:
         raise NumericalError(
             f"no gamma modulator reproduces d595={d595}, t_mid={t_mid}, t_total={t_total}")
-    logk = _brentq(tmid_resid, *bracket, xtol=1e-12)
-    k = math.exp(logk)
-    r = rate_for_span(k)
+    k = math.exp(_brentq(span_resid, *ends, xtol=1e-12))
+    r = rate_for_tmid(k)
 
     # (pi/2g) * a1^2 * int_0^T t^(k-1) e^(-rt) dt = AI
-    integral = math.exp(gammaln(k) - k * math.log(r)) * gammainc(k, r * t_total)
-    a1 = math.sqrt(math.exp(log_ai) * 2 * G_ACCEL / math.pi / integral)
-    return ModulatorCoeffs(a1=a1, a2=(k + 1) / 2, a3=r / 2)
+    log_integral = gammaln(k) - k * math.log(r) + math.log(gammainc(k, r * t_total))
+    log_a1 = (log_ai + math.log(2 * G_ACCEL / math.pi) - log_integral) / 2
+    if not LOG_FLOAT_RANGE[0] < log_a1 < LOG_FLOAT_RANGE[1]:
+        raise NumericalError(f"a1 = exp({log_a1:.6g}) for d595={d595}, t_mid={t_mid}, "
+                             f"t_total={t_total} is outside the float range")
+    return ModulatorCoeffs(a1=math.exp(log_a1), a2=(k + 1) / 2, a3=r / 2)
 
 
 @functools.cache

@@ -569,6 +569,7 @@ def test_record_with_no_motion_is_data_error(catalog_dir, tmp_path, capsys,
 @pytest.mark.parametrize("edits,named", [
     ({"omega_mid": "26"}, "entry rec03: omega_max*dt = 0.540 >= 0.5"),
     ({"d595": "24", "t_mid": "5"}, "entry rec03: no gamma modulator reproduces"),
+    ({"log_ai": "800"}, "entry rec03: AI = exp(log_ai=800.0) is outside the float range"),
 ])
 def test_entry_the_model_refuses_is_data_error_at_load(catalog_dir, tmp_path, capsys,
                                                        command, flags, edits, named):

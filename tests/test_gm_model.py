@@ -50,7 +50,10 @@ class TestModulator:
 
     @pytest.mark.parametrize("d595,t_mid,t_total", [(30.0, 0.5, 40.0), (5.0, 39.5, 40.0)])
     def test_no_shape_reaches_t_mid(self, d595, t_mid, t_total):
-        # the shape scan finds no sign change of t45 - t_mid
+        # both are infeasible, since the span along t45 = t_mid is widest
+        # at the least shape: with t45 at 0.5 s, that shape (k near 1, an
+        # exponential) spans 2.5 s, not 30; with t45 at 39.5 of 40 s, it
+        # (k near 64, a kernel rising to the record end) spans 1.8 s, not 5
         with pytest.raises(NumericalError, match=(
                 f"no gamma modulator reproduces d595={d595}, t_mid={t_mid}, "
                 f"t_total={t_total}")):
@@ -59,7 +62,8 @@ class TestModulator:
     def test_brent_port_matches_scipy_brentq(self, monkeypatch):
         # gm_model._brentq takes scipy.optimize.brentq's steps, so the
         # coefficients are equal, not close, with brentq patched in. The
-        # draws span perfbench's parameter ranges
+        # draws span perfbench's parameter ranges, then envelopes that peak
+        # up to 0.8 of the record
         from scipy.optimize import brentq
 
         rng = np.random.default_rng(2024)
@@ -68,6 +72,12 @@ class TestModulator:
             s = rng.uniform(15.0, 60.0) / 25.0
             draws.append((np.log(rng.uniform(0.3, 0.7)), rng.uniform(8.0, 12.0) * s,
                           rng.uniform(4.0, 5.5) * s, 25.0 * s))
+        for _ in range(30):
+            t_total = rng.uniform(10.0, 80.0)
+            k = math.exp(rng.uniform(math.log(1.2), math.log(60.0)))
+            r = (k - 1) / (rng.uniform(0.1, 0.8) * t_total)
+            t5, t45, t95 = gm_model._ai_quantile_times(k, r, t_total)
+            draws.append((np.log(rng.uniform(0.3, 0.7)), t95 - t5, t45, t_total))
         ported = [solve_modulator(*d) for d in draws]
         monkeypatch.setattr(gm_model, "_brentq",
                             lambda f, a, b, **tol: brentq(f, a, b, **tol))
@@ -87,6 +97,19 @@ class TestModulator:
             for a, b in ((-1.0, 2.0), (2.0, -0.5), (0.0, 1.0)):
                 if np.sign(f(a)) != np.sign(f(b)):
                     assert gm_model._brentq(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol)
+
+    def test_late_peak_solves_with_a_large_shape(self):
+        c = solve_modulator(0.0, 5.0, 30.0, 40.0)
+        assert c.a2 > 150  # shape k = 2*a2 - 1 near 395
+        assert np.all(np.isfinite(c(np.linspace(0.0, 40.0, 4001))))
+        _, d595, t_mid = measure_q2_targets(c, 40.0)
+        assert d595 == pytest.approx(5.0, rel=0.01)
+        assert t_mid == pytest.approx(30.0, rel=0.01)
+
+    def test_a1_outside_float_range(self):
+        # the shape is near 1,091 and log a1 near -1,089
+        with pytest.raises(NumericalError, match="is outside the float range"):
+            solve_modulator(0.0, 2.0, 20.0, 40.0)
 
     @pytest.mark.parametrize("d595,t_mid,t_total", [
         (5.0, 3.0, 20.0), (15.0, 9.0, 40.0), (8.0, 6.0, 30.0)])

@@ -30,6 +30,29 @@ def test_modulator_round_trip(t_total, ai, d595, t_mid):
     assert t_mid_q == pytest.approx(t_mid * s, rel=0.01)
 
 
+@st.composite
+def gamma_targets(draw):
+    """(d595, t_mid, t_total) of a truncated gamma kernel whose peak lies
+    anywhere in [0.1, 0.8] of the record."""
+    t_total = draw(st.floats(10.0, 80.0))
+    k = math.exp(draw(st.floats(math.log(1.2), math.log(60.0))))
+    r = (k - 1) / (draw(st.floats(0.1, 0.8)) * t_total)
+    t5, t45, t95 = gm_model._ai_quantile_times(k, r, t_total)
+    return t95 - t5, t45, t_total
+
+
+@settings(max_examples=200)
+@given(targets=gamma_targets())
+@example(targets=(20.0, 15.0, 60.0))
+def test_modulator_reaches_late_peaks(targets):
+    d595, t_mid, t_total = targets
+    c = solve_modulator(0.0, d595, t_mid, t_total)
+    ai_q, d595_q, t_mid_q = measure_q2_targets(c, t_total)
+    assert ai_q == pytest.approx(1.0, rel=0.01)
+    assert d595_q == pytest.approx(d595, rel=0.01)
+    assert t_mid_q == pytest.approx(t_mid, rel=0.01)
+
+
 @settings(max_examples=60)
 @given(fc=st.floats(0.05, 2.0), dt=st.floats(0.005, 0.02),
        m=st.integers(50, 2000), n=st.integers(1, 4),
