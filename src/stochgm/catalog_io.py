@@ -232,8 +232,11 @@ def parse_manifest(text):
             continue
         if "=" not in line:
             raise DataError(f"manifest line is not 'key = value': {line!r}")
-        key, _, val = line.partition("=")
-        block[key.strip()] = val.strip()
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key in block:
+            raise DataError(f"entry {block.get('id')}: key {key!r} repeats "
+                            "(a blank line missing between two entries?)")
+        block[key] = val
     flush()
 
     ids = [e.id for e in entries]
@@ -246,7 +249,7 @@ def parse_manifest(text):
 def load_catalog(manifest_path):
     """Load a manifest and all referenced AT2 records, converted to SI."""
     try:
-        with open(manifest_path, encoding="utf-8") as fh:
+        with open(manifest_path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"manifest {manifest_path}: {exc}") from exc

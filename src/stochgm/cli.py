@@ -10,7 +10,8 @@ Each subcommand imports the modules it calls, so a process loads only what
 its subcommand needs: convert needs numpy alone; spectrum, stats and
 sensitivity add sosfilt's second-order-section loop (scipy.signal._sosfilt,
 without the scipy.signal package); simulate, fit-fc and sample-params also
-scipy.special. No subcommand loads scipy.linalg, scipy.stats,
+scipy.special and brentq's loop (scipy.optimize._zeros, without the
+scipy.optimize package). No subcommand loads scipy.linalg, scipy.stats,
 scipy.optimize or scipy.signal.
 """
 
@@ -247,9 +248,16 @@ def _catalog_log_sa(catalog, periods, jobs=1):
 
 def cmd_convert(args):
     catalog = _load(args)
+    # <id>.AT2 and <id>.csv may name the run's own inputs, say in --out .
+    base = os.path.dirname(os.path.abspath(args.manifest))
+    inputs = {os.path.realpath(p) for p in [args.manifest] + [
+        os.path.join(base, entry.path) for entry in catalog.entries]}
     for rec in catalog:
-        out = os.path.join(args.out, f"{rec.id}.AT2")
-        with open(out, "w") as fh:
+        for out in (os.path.join(args.out, f"{rec.id}.{ext}") for ext in ("AT2", "csv")):
+            if os.path.realpath(out) in inputs:
+                raise DataError(f"entry {rec.id}: --out {args.out}: {out} is an input")
+    for rec in catalog:
+        with open(os.path.join(args.out, f"{rec.id}.AT2"), "w") as fh:
             fh.write(write_at2(rec))
         # the csv module's text, formatted by one % over the whole series
         t_a = np.column_stack([np.arange(rec.npts) * rec.dt, rec.accel / G_ACCEL])

@@ -32,12 +32,15 @@ from scipy.special import gammainc, gammaincinv, gammaln
 
 from .catalog_io import G_ACCEL, PARAM_KEYS, GMParams
 from .errors import DataError, NumericalError
-from .resp_spectrum import recurrence, row_blocks
+from .resp_spectrum import _load_extension, recurrence, row_blocks
 
 SIGMA_FLOOR_REL = 1e-6  # below this fraction of max sigma, X2 is set to 0
 # target Chebyshev tail of the engines' interpolation in omega, relative
 NODE_TOL = 1e-14
 LOG_FLOAT_RANGE = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
+# scipy.optimize.brentq's loop, without the scipy.optimize package; loaded
+# here, not at the first solve
+_zeros = _load_extension("scipy.optimize", "_zeros")
 
 
 @dataclass(frozen=True)
@@ -100,43 +103,13 @@ def _ai_quantile_times(k, r, t_total, qs=(0.05, 0.45, 0.95)):
 
 def _brentq(f, xpre, xcur, xtol, rtol=4 * np.finfo(float).eps, maxiter=100):
     """A root of f between xpre and xcur, where f changes sign, by Brent's
-    method (Brent 1973, ch. 4) step for step as scipy.optimize.brentq runs
-    it: the same f gives the same iterates and the same root."""
-    fpre, fcur = float(f(xpre)), float(f(xcur))
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1, fpre) == math.copysign(1, fcur):
-        raise NumericalError(f"no sign change of f between {xpre} and {xcur}")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1, fpre) != math.copysign(1, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = None
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry  # a short interpolation step
-        else:
-            spre = scur = sbis  # bisection
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = float(f(xcur))
-    raise NumericalError(f"Brent's method did not converge in {maxiter} steps")
+    method (Brent 1973, ch. 4) in scipy.optimize.brentq's own C loop: the
+    same f gives the same iterates and the same root. No sign change and
+    no convergence in maxiter steps are NumericalErrors."""
+    try:
+        return _zeros._brentq(f, xpre, xcur, xtol, rtol, maxiter, (), False, True)
+    except (ValueError, RuntimeError) as exc:
+        raise NumericalError(f"Brent's method between {xpre} and {xcur}: {exc}") from exc
 
 
 def solve_modulator(log_ai, d595, t_mid, t_total):

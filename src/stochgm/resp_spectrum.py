@@ -11,7 +11,7 @@ t_k + q dt/refine, each the exact fractional-step transition from
 `recurrence` is the one linear-recurrence kernel of the package: these
 difference equations, the high-pass filter and the temporal engine's
 per-node poles (gm_model) all run through it, in scipy.signal.sosfilt's
-loop loaded alone (_load_sosfilt), so computing spectra loads numpy, not
+loop loaded alone (_load_extension), so computing spectra loads numpy, not
 the scipy.signal package. `row_blocks` is the one rule by which a batch is
 streamed: a refined period's u, v and sub-step reads and both X1 engines'
 per-node work run one row block at a time, and since rows are independent
@@ -35,22 +35,24 @@ from .catalog_io import G_ACCEL
 from .errors import DataError
 
 
-def _load_sosfilt():
-    """scipy.signal.sosfilt's second-order-section loop, from its extension
-    module alone: scipy/signal/__init__.py and scipy's array-API layer cost
-    more time and memory than numpy. It is registered under its own name,
-    so an `import scipy.signal` before or after shares the one module."""
-    name = "scipy.signal._sosfilt"
-    module = sys.modules.get(name)
+def _load_extension(package, name):
+    """The extension module package.name, loaded alone: the package's
+    __init__.py (scipy.signal's, scipy.optimize's) and scipy's array-API
+    layer cost more time and memory than numpy. It is registered under its
+    own name, so importing the package before or after shares the one
+    module. Both modules loaded this way are private to scipy and were
+    checked only on scipy 1.17.1; there is no fallback."""
+    full = f"{package}.{name}"
+    module = sys.modules.get(full)
     if module is None:
         spec = importlib.machinery.PathFinder.find_spec(
-            name, importlib.util.find_spec("scipy.signal").submodule_search_locations)
-        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+            full, importlib.util.find_spec(package).submodule_search_locations)
+        module = sys.modules[full] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    return module._sosfilt
+    return module
 
 
-_sosfilt = _load_sosfilt()
+_sosfilt = _load_extension("scipy.signal", "_sosfilt")._sosfilt
 
 
 class PeriodUnderResolved(UserWarning):

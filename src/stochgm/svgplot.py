@@ -111,7 +111,8 @@ class LineChart:
 
 
 def panel_grid(charts):
-    """Stack rendered charts into one SVG document, two panels a row."""
+    """Stack rendered charts into one SVG document, two panels a row, each
+    chart's own <svg> nested in a translated group."""
     ncols = 2
     if not charts:
         return '<svg xmlns="http://www.w3.org/2000/svg"/>'
@@ -120,9 +121,6 @@ def panel_grid(charts):
              f'height="{nrows * HEIGHT}">']
     for i, chart in enumerate(charts):
         x, y = (i % ncols) * WIDTH, (i // ncols) * HEIGHT
-        inner = chart.render()
-        inner = inner[inner.index(">") + 1:]  # strip outer <svg ...>
-        inner = inner.rsplit("</svg>", 1)[0]
-        parts.append(f'<g transform="translate({x},{y})">{inner}</g>')
+        parts.append(f'<g transform="translate({x},{y})">{chart.render()}</g>')
     parts.append("</svg>")
     return "\n".join(parts)

@@ -140,6 +140,12 @@ def test_manifest_duplicate_ids():
         parse_manifest("id = a\npath = p\n\nid = a\npath = q\n")
 
 
+def test_manifest_key_repeats_within_an_entry():
+    # without the blank line, entry a's keys would merge into entry b's
+    with pytest.raises(DataError, match="entry a: key 'id' repeats"):
+        parse_manifest("id = a\npath = a.AT2\nfc_hz = 0.3\nid = b\npath = b.AT2\n")
+
+
 @pytest.mark.parametrize("rec_id", ["", ".", "..", "../escaped", "a/b", "/abs"])
 def test_manifest_id_must_be_a_file_name(rec_id):
     # an id names output files, so it must not reach outside --out
@@ -157,6 +163,12 @@ def test_load_catalog(tmp_path):
     assert len(cat) == 2
     assert cat.record("rec_a").unit == "m/s2"
     assert cat.entry("rec_a").params["omega_mid"] == 15.0
+
+
+def test_load_catalog_reads_a_byte_order_mark(tmp_path):
+    (tmp_path / "rec_a.AT2").write_text(make_at2(np.ones(50) * 0.1))
+    (tmp_path / "m.txt").write_bytes(b"\xef\xbb\xbfid = rec_a\npath = rec_a.AT2\n")
+    assert [e.id for e in load_catalog(tmp_path / "m.txt").entries] == ["rec_a"]
 
 
 def test_load_catalog_missing_file(tmp_path):

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import textwrap
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,21 @@ def test_convert(catalog_dir, tmp_path):
                  "--out", str(out)]) == 0
     assert (out / "rec00.AT2").exists()
     assert (out / "rec00.csv").exists()
+
+
+@pytest.mark.parametrize("manifest", ["m.txt", "r1.csv"])
+def test_convert_never_writes_over_its_inputs(tmp_path, capsys, monkeypatch, manifest):
+    # run in the manifest's directory with the default --out ., r1.AT2 is
+    # both a record read and an output, as is a manifest named r1.csv
+    at2 = write_at2(AccelerogramRecord(id="NGA r1", dt=0.01, accel=[0.1, -0.2, 0.3]))
+    (tmp_path / "r1.AT2").write_text(at2)
+    (tmp_path / manifest).write_text("id = r1\npath = r1.AT2\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["convert", "--manifest", manifest]) == 2
+    assert "entry r1: --out .:" in capsys.readouterr().err
+    assert json.loads((tmp_path / "run_log.json").read_text())["status"] == "data_error"
+    assert (tmp_path / "r1.AT2").read_text() == at2
+    assert (tmp_path / manifest).read_text() == "id = r1\npath = r1.AT2\n"
 
 
 @pytest.mark.parametrize("npts", [2, 4, 5, 6, 10, 11])
@@ -688,9 +704,11 @@ def test_stats_single_and_compare(catalog_dir, tmp_path):
     header, rows = read_csv(out / "recorded_stats.csv")
     assert header[0] == "T_s" and len(rows) == 12
     assert (out / "recorded_correlation.csv").exists()
-    assert (out / "stats.svg").exists()
-    corr_svg = (out / "correlation.svg").read_text()
-    assert corr_svg.count("<g transform") == 4  # one panel per fixed T2
+    svg = "{http://www.w3.org/2000/svg}"
+    for name in ("stats.svg", "correlation.svg"):  # one panel per statistic or T2
+        root = ET.parse(out / name).getroot()
+        assert root.tag == f"{svg}svg"
+        assert [len(g.findall(f"{svg}svg")) for g in root.findall(f"{svg}g")] == [1] * 4
     assert not (out / "synthetic_stats.csv").exists()
 
     out2 = tmp_path / "stats2"

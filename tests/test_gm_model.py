@@ -98,6 +98,15 @@ class TestModulator:
                 if np.sign(f(a)) != np.sign(f(b)):
                     assert gm_model._brentq(f, a, b, xtol=xtol) == brentq(f, a, b, xtol=xtol)
 
+    @pytest.mark.parametrize("f,maxiter", [
+        (lambda x: x * x + 1.0, 100),  # no sign change: scipy's ValueError
+        (lambda x: x ** 9 - 0.5, 2),  # no convergence: scipy's RuntimeError
+    ])
+    def test_brentq_failures_are_numerical_errors(self, f, maxiter):
+        with pytest.raises(NumericalError) as info:
+            gm_model._brentq(f, -1.0, 2.0, xtol=1e-12, maxiter=maxiter)
+        assert type(info.value) is NumericalError
+
     def test_late_peak_solves_with_a_large_shape(self):
         c = solve_modulator(0.0, 5.0, 30.0, 40.0)
         assert c.a2 > 150  # shape k = 2*a2 - 1 near 395

@@ -4,7 +4,8 @@ scipy's signal, stats or optimize packages. None loads the scipy.linalg
 package either: resp_spectrum loads sosfilt's second-order-section loop
 from its extension module alone, so spectrum, stats and sensitivity run on
 numpy and that module, without scipy's array-API layer or LAPACK, and only
-simulate, fit-fc and sample-params add scipy.special. Each check runs in a
+simulate, fit-fc and sample-params add scipy.special and, loaded the same
+way, brentq's loop (scipy.optimize._zeros). Each check runs in a
 fresh interpreter, because this test process has imported everything
 already."""
 
@@ -156,6 +157,21 @@ def test_sosfilt_is_scipy_signal_sosfilt(first):
         from stochgm import resp_spectrum
         assert resp_spectrum._sosfilt is _sosfilt._sosfilt
         assert resp_spectrum._sosfilt is _signaltools._sosfilt
+    """)
+
+
+@pytest.mark.parametrize("first", ["stochgm.gm_model", "scipy.optimize"])
+def test_zeros_is_scipy_optimize_zeros(first):
+    # one _zeros module whichever import runs first, and the loop that
+    # scipy.optimize.brentq calls
+    run_fresh(f"""
+        import importlib
+        importlib.import_module({first!r})
+        import scipy.optimize
+        from scipy.optimize import _zeros
+        from stochgm import gm_model
+        assert gm_model._zeros is _zeros
+        assert scipy.optimize.brentq.__globals__["_zeros"] is _zeros
     """)
 
 
