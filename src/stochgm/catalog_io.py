@@ -128,10 +128,11 @@ class ManifestEntry:
 
 @dataclass(frozen=True)
 class Catalog:
-    """Loaded records (SI units) and their manifest-supplied parameters."""
+    """Loaded records (SI units), their manifest entries and AT2 paths."""
 
     records: tuple
     entries: tuple
+    paths: tuple
 
     def __len__(self):
         return len(self.records)
@@ -256,12 +257,12 @@ def load_catalog(manifest_path):
     entries = parse_manifest(text)
     if not entries:
         log.warning("manifest %s contains no entries", manifest_path)
-        return Catalog(records=(), entries=())
+        return Catalog(records=(), entries=(), paths=())
 
     base = os.path.dirname(os.path.abspath(manifest_path))
+    paths = [os.path.join(base, entry.path) for entry in entries]
     records = []
-    for entry in entries:
-        path = os.path.join(base, entry.path)
+    for entry, path in zip(entries, paths):
         if not os.path.exists(path):
             raise DataError(f"entry {entry.id}: file not found: {path}")
         try:
@@ -271,4 +272,4 @@ def load_catalog(manifest_path):
             raise DataError(f"entry {entry.id}: {exc}") from exc
         rec = replace(rec, id=entry.id)
         records.append(rec.to_si())
-    return Catalog(records=tuple(records), entries=tuple(entries))
+    return Catalog(records=tuple(records), entries=tuple(entries), paths=tuple(paths))

@@ -3,8 +3,8 @@
 Subcommands: convert, simulate, spectrum, fit-fc, stats, sensitivity,
 sample-params. CSV files are the authoritative outputs; SVG charts are a
 convenience. Every run writes a machine-readable run_log.json into the
-output directory. Exit codes: 0 success, 1 usage error, 2 data error,
-3 numerical failure.
+output directory, and no output of a run replaces a file it reads. Exit
+codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 
 Each subcommand imports the modules it calls, so a process loads only what
 its subcommand needs: convert needs numpy alone; spectrum, stats and
@@ -56,8 +56,8 @@ MAX_SIM_ELEMENTS = 2 ** 24
 
 
 # ---------------------------------------------------------------------------
-# input boundary and helpers: manifests and numeric flags become validated
-# inputs here; a bad one is a DataError (exit 2) naming the entry or flag
+# input and output boundary and helpers: a bad manifest entry or numeric flag,
+# or an output that would replace an input, is a DataError (exit 2) naming it
 # ---------------------------------------------------------------------------
 
 def _parse_triplet(text):
@@ -100,6 +100,14 @@ def _check_args(args):
             raise DataError(f"--fc-grid/--mc: {exc}") from exc
 
 
+def _out(args, name):
+    """The path of output `name` in --out; a DataError if it resolves to an input."""
+    path = os.path.join(args.out, name)
+    if os.path.realpath(path) in args.inputs:
+        raise DataError(f"--out {args.out}: {path} is an input")
+    return path
+
+
 def entry_params(entry, record, fc_default=None):
     """Build GMParams for a manifest entry, extracting the simple
     parameters from the record when the manifest omits them. The entry's
@@ -133,6 +141,8 @@ def _load(args, manifest=None, fc=False):
     load_catalog builds both in manifest order)."""
     manifest = manifest or args.manifest
     catalog = load_catalog(manifest)
+    args.inputs.update(map(os.path.realpath, catalog.paths))
+    _out(args, "run_log.json")  # no record the run reads may be its run log
     if len(catalog) == 0:
         raise DataError(f"catalog from {manifest} is empty")
     if hasattr(args, "periods"):
@@ -248,20 +258,15 @@ def _catalog_log_sa(catalog, periods, jobs=1):
 
 def cmd_convert(args):
     catalog = _load(args)
-    # <id>.AT2 and <id>.csv may name the run's own inputs, say in --out .
-    base = os.path.dirname(os.path.abspath(args.manifest))
-    inputs = {os.path.realpath(p) for p in [args.manifest] + [
-        os.path.join(base, entry.path) for entry in catalog.entries]}
-    for rec in catalog:
-        for out in (os.path.join(args.out, f"{rec.id}.{ext}") for ext in ("AT2", "csv")):
-            if os.path.realpath(out) in inputs:
-                raise DataError(f"entry {rec.id}: --out {args.out}: {out} is an input")
-    for rec in catalog:
-        with open(os.path.join(args.out, f"{rec.id}.AT2"), "w") as fh:
+    # every path is named before the first write, so a refused one writes nothing
+    paths = _per_record(lambda rec: [_out(args, f"{rec.id}.{ext}") for ext in ("AT2", "csv")],
+                        catalog.records)
+    for rec, (at2_path, csv_path) in zip(catalog, paths):
+        with open(at2_path, "w") as fh:
             fh.write(write_at2(rec))
         # the csv module's text, formatted by one % over the whole series
         t_a = np.column_stack([np.arange(rec.npts) * rec.dt, rec.accel / G_ACCEL])
-        with open(os.path.join(args.out, f"{rec.id}.csv"), "w", newline="") as fh:
+        with open(csv_path, "w", newline="") as fh:
             fh.write("t_s,accel_g\r\n"
                      + ("%.6g,%.7e\r\n" * rec.npts) % tuple(t_a.ravel().tolist()))
     return {"records": len(catalog)}
@@ -279,11 +284,11 @@ def cmd_simulate(args):
         batch = simulate(p, rec.dt, args.n, (args.seed, index[rec.id]), args.engine)
         if p.fc_hz:
             batch = apply_highpass(batch, p.fc_hz)
-        batch.save_npz(os.path.join(args.out, f"{rec.id}_batch.npz"))
+        batch.save_npz(_out(args, f"{rec.id}_batch.npz"))
         a = batch.realizations
         ai = np.pi / (2 * G_ACCEL) * np.trapezoid(a ** 2, dx=batch.dt, axis=1)
         pga = np.abs(a).max(axis=1)
-        _write_csv(os.path.join(args.out, f"{rec.id}_summary.csv"),
+        _write_csv(_out(args, f"{rec.id}_summary.csv"),
                    ["realization", "arias_m_per_s", "pga_ms2"],
                    [(i, f"{ai[i]:.6g}", f"{pga[i]:.6g}") for i in range(len(ai))])
         return {"id": rec.id, "mean_ai": float(ai.mean()),
@@ -303,8 +308,7 @@ def cmd_spectrum(args):
     for rec in catalog:
         spec = compute_sa(rec.accel, rec.dt, args.periods)
         spectra.append(spec)
-        path = os.path.join(args.out, f"{rec.id}_spectrum.csv")
-        with open(path, "w", newline="") as fh:
+        with open(_out(args, f"{rec.id}_spectrum.csv"), "w", newline="") as fh:
             fh.write(f"# damping = {spec.damping}\n")
             w = csv.writer(fh)
             w.writerow(["T_s", "Sa_g"])
@@ -325,10 +329,10 @@ def cmd_fit_fc(args):
 
     results = dict(zip(params, _per_record(one, catalog.records)))
     for rid, res in results.items():
-        _write_csv(os.path.join(args.out, f"{rid}_epsilon.csv"), ["fc_hz", "epsilon"],
+        _write_csv(_out(args, f"{rid}_epsilon.csv"), ["fc_hz", "epsilon"],
                    [(f"{f:.4g}", f"{e:.8g}")
                     for f, e in zip(res.fc_grid, res.epsilon_curve)])
-    _write_csv(os.path.join(args.out, "fc_table.csv"), ["id", "fc_star_hz"],
+    _write_csv(_out(args, "fc_table.csv"), ["id", "fc_star_hz"],
                [(rid, f"{res.fc_star:.4g}") for rid, res in results.items()])
     return {"fc_star": {rid: res.fc_star for rid, res in results.items()},
             "search": {rid: {"evals": res.evals, "fallback": res.fallback,
@@ -337,20 +341,19 @@ def cmd_fit_fc(args):
             "omega_nodes": {rid: res.omega_nodes for rid, res in results.items()}}
 
 
-def _stats_outputs(tag, spectra, periods, out_dir):
+def _stats_outputs(args, tag, spectra, periods):
     from . import catalog_stats
 
     q05 = catalog_stats.spectral_quantiles(spectra, 0.05)
     q50 = catalog_stats.spectral_quantiles(spectra, 0.50)
     q95 = catalog_stats.spectral_quantiles(spectra, 0.95)
     std = catalog_stats.spectral_std(spectra)
-    _write_csv(os.path.join(out_dir, f"{tag}_stats.csv"),
+    _write_csv(_out(args, f"{tag}_stats.csv"),
                ["T_s", "q05_logsa", "q50_logsa", "q95_logsa", "std_logsa"],
                [(f"{t:.6g}", f"{a:.8g}", f"{b:.8g}", f"{c:.8g}", f"{d:.8g}")
                 for t, a, b, c, d in zip(periods, q05, q50, q95, std)])
     rho = catalog_stats.spectral_correlation(spectra)
-    _write_matrix_csv(os.path.join(out_dir, f"{tag}_correlation.csv"),
-                      periods, rho)
+    _write_matrix_csv(_out(args, f"{tag}_correlation.csv"), periods, rho)
     return {"q05": q05, "q50": q50, "q95": q95, "std": std, "rho": rho}
 
 
@@ -364,7 +367,7 @@ def cmd_stats(args):
     stats, records, spectra = {}, [], []
     for tag, catalog in catalogs.items():
         log_sa, specs = _catalog_log_sa(catalog, periods, args.jobs)
-        stats[tag] = _stats_outputs(tag, log_sa, periods, args.out)
+        stats[tag] = _stats_outputs(args, tag, log_sa, periods)
         records += catalog.records
         spectra += specs
 
@@ -377,7 +380,7 @@ def cmd_stats(args):
         for tag, st in stats.items():
             chart.add_line(periods, st[key], label=tag, dashed=tag != "recorded")
         charts.append(chart)
-    with open(os.path.join(args.out, "stats.svg"), "w") as fh:
+    with open(_out(args, "stats.svg"), "w") as fh:
         fh.write(svgplot.panel_grid(charts))
 
     # correlation chart: 4 panels at fixed T2
@@ -390,7 +393,7 @@ def cmd_stats(args):
             chart.add_line(periods, st["rho"][:, j2], label=tag,
                            dashed=tag != "recorded")
         charts.append(chart)
-    with open(os.path.join(args.out, "correlation.svg"), "w") as fh:
+    with open(_out(args, "correlation.svg"), "w") as fh:
         fh.write(svgplot.panel_grid(charts))
     return {"catalogs": list(stats), "n_periods": int(periods.size),
             "health": _spectra_health(records, spectra)}
@@ -409,11 +412,11 @@ def cmd_sensitivity(args):
     bundle = sensitivity.fit_bundle(dm, log_sa, periods)
 
     r2 = sensitivity.r2_curve(bundle)
-    _write_csv(os.path.join(args.out, "r2.csv"), ["T_s", "r2"],
+    _write_csv(_out(args, "r2.csv"), ["T_s", "r2"],
                [(f"{t:.6g}", f"{v:.8g}") for t, v in zip(periods, r2)])
 
     wc = sensitivity.weighted_coefficients(bundle)
-    _write_csv(os.path.join(args.out, "weighted_coefficients.csv"),
+    _write_csv(_out(args, "weighted_coefficients.csv"),
                ["T_s"] + list(sensitivity.PARAM_LABELS),
                [[f"{t:.6g}"] + [f"{wc[i, j]:.8g}" for i in range(wc.shape[0])]
                 for j, t in enumerate(periods)])
@@ -422,12 +425,11 @@ def cmd_sensitivity(args):
     for mode in ("full", "const_fc", "no_cov"):
         surf = (sensitivity.baseline_surfaces(bundle) if mode == "full"
                 else sensitivity.scenario_neglect_fc(bundle, mode))
-        _write_matrix_csv(os.path.join(args.out, f"rho_{mode}.csv"),
-                          periods, surf["rho"])
+        _write_matrix_csv(_out(args, f"rho_{mode}.csv"), periods, surf["rho"])
         var_rows[mode] = surf["var"]
         if mode != "full":
             negative[mode] = int(surf["negative_variance"].sum())
-    _write_csv(os.path.join(args.out, "variance_scenarios.csv"),
+    _write_csv(_out(args, "variance_scenarios.csv"),
                ["T_s", "var_full", "var_const_fc", "var_no_cov"],
                [(f"{t:.6g}",) + tuple(f"{var_rows[k][j]:.8g}"
                                       for k in ("full", "const_fc", "no_cov"))
@@ -440,13 +442,13 @@ def cmd_sensitivity(args):
             pct = sensitivity.covariance_percentages(bundle, t1, t2g)
             rows.append((f"{t1:.6g}", f"{t2g:.6g}")
                         + tuple(f"{v:.12g}" for v in pct.values()))
-    _write_csv(os.path.join(args.out, "covariance_percentages.csv"),
+    _write_csv(_out(args, "covariance_percentages.csv"),
                ["T1_s", "T2_s", "pct_term1", "pct_term2", "pct_term3", "pct_term4"],
                rows)
 
     chart = svgplot.LineChart(title="R^2", xlabel="T (s)", ylabel="R^2")
     chart.add_line(periods, r2, label="full")
-    with open(os.path.join(args.out, "r2.svg"), "w") as fh:
+    with open(_out(args, "r2.svg"), "w") as fh:
         fh.write(chart.render())
     # the paper's fc share: the long-period variance that fc's spread explains
     share = 1 - var_rows["const_fc"][periods >= 1] / var_rows["full"][periods >= 1]
@@ -468,10 +470,10 @@ def cmd_sample_params(args):
     corr = param_dist.fit_copula(theta, marginals)
     model = param_dist.JointParamModel(marginals=marginals, correlation=corr,
                                        labels=sensitivity.PARAM_LABELS)
-    param_dist.save_joint_model(model, os.path.join(args.out, "joint_model.txt"))
+    param_dist.save_joint_model(model, _out(args, "joint_model.txt"))
 
     draws = param_dist.sample_params(model, args.n, args.seed)
-    _write_csv(os.path.join(args.out, "sampled_params.csv"),
+    _write_csv(_out(args, "sampled_params.csv"),
                list(sensitivity.PARAM_LABELS),
                [[f"{v:.8g}" for v in row] for row in draws])
     return {"n_sampled": int(draws.shape[0])}
@@ -481,20 +483,28 @@ def cmd_sample_params(args):
 # entry point
 # ---------------------------------------------------------------------------
 
-# subcommand -> (handler, help, flags besides --manifest/--out)
+# flag -> its add_argument keywords (fc_grid is --fc-grid)
+FLAGS = {
+    "seed": dict(type=int, default=DEFAULT_SEED),
+    "jobs": dict(type=int, default=1, help="worker pool size"),
+    "engine": dict(choices=("temporal", "spectral"), default="spectral"),
+    "n": dict(type=int, default=100, help="number of realizations / samples"),
+    "mc": dict(type=int, default=100, help="Monte Carlo samples per grid point"),
+    "fc_grid": dict(type=_parse_triplet, default=(0.0, 2.0, 0.01), metavar="LO:HI:STEP",
+                    help="corner-frequency grid (Hz)"),
+    "periods": dict(type=_parse_triplet, default=(0.05, 10.0, 100.0),
+                    metavar="LO:HI:COUNT", help="log-spaced period grid (s)"),
+    "compare": dict(help="second manifest (synthetic catalog) for comparison"),
+}
+# subcommand -> (handler, help, FLAGS besides --manifest/--out)
 SUBCOMMANDS = {
     "convert": (cmd_convert, "re-emit records as AT2 + CSV", ()),
-    "simulate": (cmd_simulate, "simulate realization batches",
-                 ("seed", "engine", "n")),
+    "simulate": (cmd_simulate, "simulate realization batches", ("seed", "engine", "n")),
     "spectrum": (cmd_spectrum, "response spectra of records", ("periods",)),
-    "fit-fc": (cmd_fit_fc, "optimize fc per record",
-               ("seed", "engine", "mc", "fc_grid")),
-    "stats": (cmd_stats, "catalog spectral statistics",
-              ("jobs", "periods", "compare")),
-    "sensitivity": (cmd_sensitivity, "regression sensitivity analysis",
-                    ("periods",)),
-    "sample-params": (cmd_sample_params, "fit joint model and sample",
-                      ("seed", "n")),
+    "fit-fc": (cmd_fit_fc, "optimize fc per record", ("seed", "engine", "mc", "fc_grid")),
+    "stats": (cmd_stats, "catalog spectral statistics", ("jobs", "periods", "compare")),
+    "sensitivity": (cmd_sensitivity, "regression sensitivity analysis", ("periods",)),
+    "sample-params": (cmd_sample_params, "fit joint model and sample", ("seed", "n")),
 }
 
 
@@ -509,29 +519,8 @@ def build_parser():
         sp.set_defaults(func=func)
         sp.add_argument("--manifest", required=True, help="catalog manifest file")
         sp.add_argument("--out", default=".", help="output directory")
-        if "seed" in flags:
-            sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        if "jobs" in flags:
-            sp.add_argument("--jobs", type=int, default=1, help="worker pool size")
-        if "engine" in flags:
-            sp.add_argument("--engine", choices=("temporal", "spectral"),
-                            default="spectral")
-        if "n" in flags:
-            sp.add_argument("--n", type=int, default=100,
-                            help="number of realizations / samples")
-        if "mc" in flags:
-            sp.add_argument("--mc", type=int, default=100,
-                            help="Monte Carlo samples per grid point")
-        if "fc_grid" in flags:
-            sp.add_argument("--fc-grid", type=_parse_triplet, default=(0.0, 2.0, 0.01),
-                            metavar="LO:HI:STEP", help="corner-frequency grid (Hz)")
-        if "periods" in flags:
-            sp.add_argument("--periods", type=_parse_triplet,
-                            default=(0.05, 10.0, 100.0), metavar="LO:HI:COUNT",
-                            help="log-spaced period grid (s)")
-        if "compare" in flags:
-            sp.add_argument("--compare", default=None,
-                            help="second manifest (synthetic catalog) for comparison")
+        for flag in flags:
+            sp.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag])
     return parser
 
 
@@ -551,6 +540,8 @@ def main(argv=None):
     except OSError as exc:  # no directory to hold a run log
         print(f"stochgm: error: --out {args.out}: {exc}", file=sys.stderr)
         return 2
+    # the files the run reads, which no output may replace; _load adds the records
+    args.inputs = {os.path.realpath(p) for p in (args.manifest, vars(args).get("compare")) if p}
     run_log = {
         "command": args.command,
         "argv": sys.argv[1:] if argv is None else list(argv),
@@ -561,6 +552,7 @@ def main(argv=None):
     }
     code = 0
     try:
+        _out(args, "run_log.json")  # the run log may not replace a manifest
         _check_args(args)
         run_log["result"] = args.func(args)
         run_log["status"] = "ok"
@@ -580,8 +572,14 @@ def main(argv=None):
     except (OSError, StopIteration):
         if resource:
             run_log["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    with open(os.path.join(args.out, "run_log.json"), "w") as fh:
-        json.dump(run_log, fh, indent=2, default=str)
+    try:
+        with open(_out(args, "run_log.json"), "w") as fh:
+            json.dump(run_log, fh, indent=2, default=str)
+    except DataError:  # the run log is an input, which the run has reported
+        return 2
+    except OSError as exc:  # for example a directory named run_log.json
+        print(f"stochgm: error: --out {args.out}: {exc}", file=sys.stderr)
+        return 2
     return code
 
 

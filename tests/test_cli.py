@@ -142,6 +142,68 @@ def test_convert_never_writes_over_its_inputs(tmp_path, capsys, monkeypatch, man
     assert (tmp_path / manifest).read_text() == "id = r1\npath = r1.AT2\n"
 
 
+def assert_input_kept(argv, path, capsys):
+    """Run in the directory of `path`, an input, with the default --out .:
+    the run exits 2 with one error line naming --out and `path` keeps its
+    bytes."""
+    kept = path.read_bytes()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("stochgm: error:") and err.count("\n") == 1
+    assert f"--out .: ./{path.name} is an input" in err
+    assert path.read_bytes() == kept
+
+
+@pytest.mark.parametrize("command,manifest,flags", [
+    ("convert", "run_log.json", []),
+    ("simulate", "r1_summary.csv", ["--n", "2"]),
+    ("spectrum", "r1_spectrum.csv", ["--periods", "0.1:1:3"]),
+    ("spectrum", "run_log.json", ["--periods", "0.1:1:3"]),
+    ("fit-fc", "fc_table.csv", ["--fc-grid", "0:1:0.5", "--mc", "2"]),
+    ("stats", "recorded_stats.csv", ["--periods", "0.1:1:3"]),
+    ("sensitivity", "r2.csv", ["--periods", "0.1:1:3"]),
+    ("sample-params", "sampled_params.csv", ["--n", "10"]),
+])
+def test_no_output_replaces_the_manifest(catalog_dir, tmp_path, capsys, monkeypatch,
+                                         command, manifest, flags):
+    # the manifest is named after one of the run's outputs; entry rec03 is r1
+    edited_manifest(catalog_dir, tmp_path / manifest, {"id": "r1"},
+                    keep=4 if command == "fit-fc" else None)
+    monkeypatch.chdir(tmp_path)
+    assert_input_kept([command, "--manifest", manifest] + flags, tmp_path / manifest,
+                      capsys)
+
+
+@pytest.mark.parametrize("compare", ["run_log.json", "synthetic_stats.csv"])
+def test_no_output_replaces_the_compare_manifest(catalog_dir, tmp_path, capsys,
+                                                 monkeypatch, compare):
+    edited_manifest(catalog_dir, tmp_path / "m.txt")
+    edited_manifest(catalog_dir, tmp_path / compare)
+    monkeypatch.chdir(tmp_path)
+    assert_input_kept(["stats", "--manifest", "m.txt", "--compare", compare,
+                       "--periods", "0.1:1:3"], tmp_path / compare, capsys)
+
+
+def test_record_named_run_log_stops_the_run_at_load(tmp_path, capsys, monkeypatch):
+    rec = AccelerogramRecord(id="r1", dt=0.01, accel=np.sin(np.arange(200) / 5.0))
+    (tmp_path / "run_log.json").write_text(write_at2(rec))
+    (tmp_path / "m.txt").write_text("id = r1\npath = run_log.json\n")
+    monkeypatch.chdir(tmp_path)
+    assert_input_kept(["spectrum", "--manifest", "m.txt", "--periods", "0.1:1:3"],
+                      tmp_path / "run_log.json", capsys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt", "run_log.json"]
+
+
+def test_run_log_that_cannot_be_written_is_data_error(catalog_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "run_log.json").mkdir(parents=True)
+    assert main(["spectrum", "--manifest", str(catalog_dir / "manifest.txt"),
+                 "--out", str(out), "--periods", "0.1:1:3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"stochgm: error: --out {out}:") and err.count("\n") == 1
+    assert (out / "rec11_spectrum.csv").exists()  # the run's outputs stay
+
+
 @pytest.mark.parametrize("npts", [2, 4, 5, 6, 10, 11])
 def test_convert_csv_as_csv_module_writes_it(tmp_path, npts):
     # the one-% body is the text csv.writer makes of per-value strings

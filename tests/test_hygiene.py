@@ -5,7 +5,9 @@ module:
 - every exception class errors.py defines is caught somewhere in the
   package, so no class exists that no handler tells apart;
 - every field of a dataclass in the package is read somewhere in the
-  package, the benchmark or the tests, so no member is carried unread."""
+  package, the benchmark or the tests, so no member is carried unread;
+- cli.py joins --out (args.out) to a file name only inside cli._out, the
+  one place that refuses an output that would replace a run's input."""
 
 import ast
 from pathlib import Path
@@ -145,3 +147,32 @@ def test_detects_unread_field():
                "class C:\n    v: int\n")
     reader = "def f(a, b):\n    a.y = 1\n    return a.x + getattr(b, 'w')\n"
     assert unread_fields([package], [reader]) == ["A.y", "A.z"]
+
+
+def out_joins(source):
+    """(line, enclosing function) of each os.path.join given an `.out`
+    attribute (args.out) outside a function named _out."""
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            owner = getattr(node, "name", "<lambda>")
+        if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "join"
+                and any(getattr(arg, "attr", None) == "out" for arg in node.args)
+                and owner != "_out"):
+            yield node.lineno, owner
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    return list(visit(ast.parse(source), None))
+
+
+def test_out_is_joined_only_in_cli_out():
+    assert out_joins((PACKAGE / "cli.py").read_text()) == []
+
+
+def test_detects_out_joined_outside_cli_out():
+    source = ("def _out(args, name):\n    return os.path.join(args.out, name)\n"
+              "def cmd(args):\n    def one(rec):\n"
+              "        return os.path.join(args.out, rec.id)\n"
+              "    paths = map(lambda n: path.join(args.out, n), 'ab')\n"
+              "log = os.path.join(ARGS.out, 'run_log.json')\n")
+    assert out_joins(source) == [(5, "one"), (6, "<lambda>"), (7, None)]
