@@ -9,10 +9,11 @@ codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 Each subcommand imports the modules it calls, so a process loads only what
 its subcommand needs: convert needs numpy alone; spectrum, stats and
 sensitivity add sosfilt's second-order-section loop (scipy.signal._sosfilt,
-without the scipy.signal package); simulate, fit-fc and sample-params also
-scipy.special and brentq's loop (scipy.optimize._zeros, without the
-scipy.optimize package). No subcommand loads scipy.linalg, scipy.stats,
-scipy.optimize or scipy.signal.
+without the scipy.signal package); simulate and fit-fc also brentq's loop
+(scipy.optimize._zeros) and three incomplete-gamma ufuncs
+(scipy.special._special_ufuncs), each without its package; sample-params
+adds the scipy.special package. No subcommand loads scipy.linalg,
+scipy.stats, scipy.optimize or scipy.signal.
 """
 
 import argparse
@@ -37,7 +38,6 @@ from . import __version__
 from .catalog_io import G_ACCEL, GMParams, load_catalog, write_at2
 from .errors import DataError, NumericalError
 
-log = logging.getLogger("stochgm")
 
 # fixed default seed: reproducibility is the product, not entropy
 DEFAULT_SEED = 20240715
@@ -560,7 +560,6 @@ def main(argv=None):
         code, status, what = ((3, "numerical_error", "numerical failure")
                               if isinstance(exc, NumericalError)
                               else (2, "data_error", "error"))
-        log.error("%s", exc)
         print(f"stochgm: {what}: {exc}", file=sys.stderr)
         run_log.update(status=status, error=str(exc))
     run_log["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S")

@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv, gammaln
 
 from .catalog_io import G_ACCEL, PARAM_KEYS, GMParams
 from .errors import DataError, NumericalError
@@ -38,9 +37,12 @@ SIGMA_FLOOR_REL = 1e-6  # below this fraction of max sigma, X2 is set to 0
 # target Chebyshev tail of the engines' interpolation in omega, relative
 NODE_TOL = 1e-14
 LOG_FLOAT_RANGE = math.log(np.finfo(float).tiny), math.log(np.finfo(float).max)
-# scipy.optimize.brentq's loop, without the scipy.optimize package; loaded
-# here, not at the first solve
-_zeros = _load_extension("scipy.optimize", "_zeros")
+# scipy.optimize.brentq's loop and three of scipy.special's ufuncs, without
+# either package; loaded here, not at the first solve
+_zeros = _load_extension("scipy.optimize", "_zeros", "_brentq")
+_special = _load_extension("scipy.special", "_special_ufuncs",
+                           "gammainc", "gammaincinv", "gammaln")
+gammainc, gammaincinv, gammaln = _special.gammainc, _special.gammaincinv, _special.gammaln
 
 
 @dataclass(frozen=True)

@@ -30,29 +30,38 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from .catalog_io import G_ACCEL
 from .errors import DataError
 
 
-def _load_extension(package, name):
+def _load_extension(package, name, *attrs):
     """The extension module package.name, loaded alone: the package's
-    __init__.py (scipy.signal's, scipy.optimize's) and scipy's array-API
-    layer cost more time and memory than numpy. It is registered under its
-    own name, so importing the package before or after shares the one
-    module. Both modules loaded this way are private to scipy and were
-    checked only on scipy 1.17.1; there is no fallback."""
+    __init__.py (scipy.signal's, scipy.optimize's, scipy.special's) and
+    scipy's array-API layer cost more time and memory than numpy. It is
+    registered under its own name, so importing the package before or after
+    shares the one module. The modules loaded this way are private to scipy
+    and were checked only on scipy 1.17.1; there is no fallback. A scipy
+    without the module, or without one of the names in attrs, is an
+    ImportError naming both releases."""
     full = f"{package}.{name}"
     module = sys.modules.get(full)
     if module is None:
         spec = importlib.machinery.PathFinder.find_spec(
             full, importlib.util.find_spec(package).submodule_search_locations)
-        module = sys.modules[full] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
+        if spec:
+            module = sys.modules[full] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+    missing = [f"{full}.{a}" for a in attrs if not hasattr(module, a)]
+    if module is None or missing:
+        raise ImportError(f"{full if module is None else ', '.join(missing)} not found in "
+                          f"scipy {scipy.__version__}; "
+                          "stochgm was checked only on scipy 1.17.1")
     return module
 
 
-_sosfilt = _load_extension("scipy.signal", "_sosfilt")._sosfilt
+_sosfilt = _load_extension("scipy.signal", "_sosfilt", "_sosfilt")._sosfilt
 
 
 class PeriodUnderResolved(UserWarning):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -94,6 +95,20 @@ def test_missing_manifest(tmp_path, capsys):
     assert "nope.txt" in capsys.readouterr().err
     run_log = json.loads((tmp_path / "run_log.json").read_text())
     assert run_log["status"] == "data_error"
+
+
+def test_data_error_is_one_stderr_line(tmp_path):
+    # a fresh process, where basicConfig gives the stochgm logger a stderr
+    # handler (under pytest it does not): the error is reported once
+    env = {k: v for k, v in os.environ.items() if k != "STOCHGM_LOG"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "stochgm.cli", "fit-fc",
+                           "--manifest", str(tmp_path / "nope.txt"),
+                           "--out", str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert line.startswith("stochgm: error: ") and "nope.txt" in line
 
 
 def test_usage_error():

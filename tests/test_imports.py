@@ -1,13 +1,14 @@
 """What each entry point imports. The package resolves its public names on
 first use and the CLI imports per subcommand, so no subcommand loads
 scipy's signal, stats or optimize packages. None loads the scipy.linalg
-package either: resp_spectrum loads sosfilt's second-order-section loop
-from its extension module alone, so spectrum, stats and sensitivity run on
-numpy and that module, without scipy's array-API layer or LAPACK, and only
-simulate, fit-fc and sample-params add scipy.special and, loaded the same
-way, brentq's loop (scipy.optimize._zeros). Each check runs in a
-fresh interpreter, because this test process has imported everything
-already."""
+package either. Three private extension modules are loaded alone, without
+their packages or scipy's array-API layer: sosfilt's second-order-section
+loop (scipy.signal._sosfilt), which spectrum, stats and sensitivity run on
+with numpy; and brentq's loop (scipy.optimize._zeros) and the
+incomplete-gamma ufuncs (scipy.special._special_ufuncs), which simulate and
+fit-fc add. Only sample-params loads the scipy.special package. Each check
+runs in a fresh interpreter, because this test process has imported
+everything already."""
 
 import os
 import subprocess
@@ -17,9 +18,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from stochgm import GMParams, apply_highpass, simulate_spectral
 from stochgm.catalog_io import AccelerogramRecord, write_at2
+from stochgm.resp_spectrum import _load_extension
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.signal", "scipy.stats", "scipy.optimize")
@@ -75,14 +78,13 @@ def test_computing_subcommands_load_no_heavy_scipy(tmp_path, argv):
     (tmp_path / "r0.AT2").write_text(write_at2(rec))
     (tmp_path / "m.txt").write_text("id = r0\npath = r0.AT2\n" + "".join(
         f"{k} = {v}\n" for k, v in vars(p.with_fc(0.3)).items()))
-    # simulate and fit-fc need scipy.special; spectrum needs numpy and _sosfilt
-    absent = HEAVY + (PACKAGE_LAYER if argv[0] == "spectrum" else ("scipy.linalg",))
     run_fresh(f"""
         import sys
         from stochgm import cli
         assert cli.main({argv!r} + ["--manifest", {str(tmp_path / "m.txt")!r},
                                     "--out", {str(tmp_path / "out")!r}]) == 0
-        assert not [m for m in {absent!r} if m in sys.modules], sys.modules
+        absent = {HEAVY + PACKAGE_LAYER!r}
+        assert not [m for m in absent if m in sys.modules], sys.modules
     """)
 
 
@@ -106,15 +108,18 @@ def _catalog(directory):
 
 
 def test_sample_params_loads_no_heavy_scipy(tmp_path):
-    # the marginals and the copula run on scipy.special alone
+    # the marginals and the copula run on scipy.special alone, which shares
+    # the one _special_ufuncs module that gm_model loads
     manifest = _catalog(tmp_path)
     run_fresh(f"""
         import sys
-        from stochgm import cli
+        from stochgm import cli, gm_model
         assert cli.main(["sample-params", "--n", "20", "--manifest", {manifest!r},
                          "--out", {str(tmp_path / "out")!r}]) == 0
         absent = {HEAVY + ("scipy.linalg",)!r}
         assert not [m for m in absent if m in sys.modules], sys.modules
+        from scipy.special import _special_ufuncs
+        assert gm_model._special is _special_ufuncs
     """)
     assert (tmp_path / "out" / "sampled_params.csv").exists()
 
@@ -173,6 +178,35 @@ def test_zeros_is_scipy_optimize_zeros(first):
         assert gm_model._zeros is _zeros
         assert scipy.optimize.brentq.__globals__["_zeros"] is _zeros
     """)
+
+
+@pytest.mark.parametrize("first", ["stochgm.gm_model", "scipy.special"])
+def test_special_ufuncs_is_scipy_special(first):
+    # one _special_ufuncs module whichever import runs first, and the ufuncs
+    # that scipy.special exports
+    run_fresh(f"""
+        import importlib
+        import sys
+        importlib.import_module({first!r})
+        import scipy.special
+        from stochgm import gm_model
+        assert gm_model._special is sys.modules["scipy.special._special_ufuncs"]
+        for name in ("gammainc", "gammaincinv", "gammaln"):
+            assert getattr(gm_model, name) is getattr(scipy.special, name), name
+    """)
+
+
+@pytest.mark.parametrize("args,missing", [
+    (("scipy.special", "_no_such_ext"), "scipy.special._no_such_ext"),
+    (("scipy.special", "_special_ufuncs", "gammaln", "no_such_ufunc"),
+     "scipy.special._special_ufuncs.no_such_ufunc"),
+])
+def test_load_extension_names_what_scipy_lacks(args, missing):
+    # not a fallback: an ImportError naming the installed and checked scipy
+    with pytest.raises(ImportError) as exc:
+        _load_extension(*args)
+    assert str(exc.value) == (f"{missing} not found in scipy {scipy.__version__}; "
+                              "stochgm was checked only on scipy 1.17.1")
 
 
 def test_public_names_resolve_lazily():
